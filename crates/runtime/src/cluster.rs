@@ -1,91 +1,34 @@
-//! Thread-per-replica TCP cluster running the unmodified ProBFT replica.
+//! Thread-per-replica TCP cluster running one single-shot ProBFT
+//! instance to decision.
 //!
-//! Each replica owns a listener socket (an OS-assigned loopback port by
+//! Each replica thread drives the unmodified [`Replica`] on the shared
+//! socket driver: its own listener (an OS-assigned loopback port by
 //! default, or `127.0.0.1:base_port + id` when a fixed range is
-//! requested), a deadline-driven event loop (mpsc channel + timer heap),
-//! and lazy outgoing connections to its peers. Frames carry `u32 sender ‖
-//! message bytes`; the replica's own cryptographic verification decides
-//! what to trust, exactly as in the simulator. Malformed peer input never
-//! panics a reader thread — short, undecodable, and torn frames are
-//! dropped and counted in [`TransportStats`].
+//! requested), a deadline-driven timer loop, and lazy outgoing connections
+//! to its peers. Frames carry `u32 sender ‖ message bytes`; the replica's
+//! own cryptographic verification decides what to trust, exactly as in the
+//! simulator. Malformed peer input never panics a reader thread — short,
+//! undecodable, and torn frames are dropped and counted in the replica's
+//! `frames_malformed` / `frames_torn` metrics.
 
-use crate::transport::{read_frame, write_frame, FrameError};
+use crate::driver::{aggregate, bind_listeners, Codec, Driver, Inbound, ReplyHandle};
 use probft_core::config::{ProbftConfig, SharedConfig};
 use probft_core::message::Message;
 use probft_core::replica::{Decision, Replica};
 use probft_core::value::Value;
 use probft_core::wire::Wire;
 use probft_crypto::keyring::Keyring;
+use probft_obs::{MetricsSnapshot, Obs};
 use probft_quorum::ReplicaId;
-use probft_simnet::process::{Action, Context, Process, ProcessId, TimerToken};
-use probft_simnet::time::{SimDuration, SimTime};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use probft_simnet::process::{Process, ProcessId};
 use std::error::Error;
 use std::fmt;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// Counters for peer input the frame-read path rejected instead of
-/// trusting (or panicking on). Shared by every reader thread of a cluster.
-#[derive(Debug, Default)]
-pub struct TransportStats {
-    short_frames: AtomicU64,
-    malformed_frames: AtomicU64,
-    torn_frames: AtomicU64,
-    unsendable_frames: AtomicU64,
-}
-
-impl TransportStats {
-    pub(crate) fn note_short(&self) {
-        self.short_frames.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_unsendable(&self) {
-        self.unsendable_frames.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_malformed(&self) {
-        self.malformed_frames.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_torn(&self) {
-        self.torn_frames.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Frames too short to carry the 4-byte sender prefix.
-    pub fn short_frames(&self) -> u64 {
-        self.short_frames.load(Ordering::Relaxed)
-    }
-
-    /// Frames whose sender id, announced length, or message body failed
-    /// to decode (includes oversized length prefixes).
-    pub fn malformed_frames(&self) -> u64 {
-        self.malformed_frames.load(Ordering::Relaxed)
-    }
-
-    /// Outbound frames that could never be sent because they exceed the
-    /// transport's frame cap (e.g. a checkpoint snapshot past `MAX_FRAME`)
-    /// — the payload is dropped but the connection survives. Non-zero
-    /// here with a stalled laggard means the state machine has outgrown
-    /// single-frame snapshot transfer.
-    pub fn unsendable_frames(&self) -> u64 {
-        self.unsendable_frames.load(Ordering::Relaxed)
-    }
-
-    /// Connections that failed mid-stream: EOF inside a length prefix or
-    /// payload, a mid-frame stall, or a socket error.
-    pub fn torn_frames(&self) -> u64 {
-        self.torn_frames.load(Ordering::Relaxed)
-    }
-}
 
 /// Why an inbound frame was rejected before reaching the replica.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -109,6 +52,33 @@ fn parse_peer_frame(frame: &[u8], n: usize) -> Result<(ProcessId, Message), Fram
             Ok((ProcessId(from), msg))
         }
         _ => Err(FrameReject::Short),
+    }
+}
+
+/// The single-shot wire format: `u32 sender ‖ message bytes`, peers only.
+#[derive(Clone, Copy, Debug)]
+struct PeerCodec {
+    /// Cluster size; sender ids at or above it are malformed.
+    n: usize,
+}
+
+impl Codec for PeerCodec {
+    type Msg = Message;
+    type Event = (ProcessId, Message);
+    const OUT_KINDS: &'static [&'static str] = &["peer"];
+    const IN_KINDS: &'static [&'static str] = &["peer"];
+
+    fn encode(&self, from: usize, msg: Message) -> (&'static str, Vec<u8>) {
+        let mut frame = (from as u32).to_be_bytes().to_vec();
+        msg.encode(&mut frame);
+        ("peer", frame)
+    }
+
+    fn decode(&self, frame: &[u8], _reply: &ReplyHandle) -> Option<(&'static str, Self::Event)> {
+        // Short and undecodable frames are both malformed input here.
+        parse_peer_frame(frame, self.n)
+            .ok()
+            .map(|event| ("peer", event))
     }
 }
 
@@ -143,35 +113,6 @@ impl fmt::Display for ClusterError {
 }
 
 impl Error for ClusterError {}
-
-/// Binds one loopback listener per replica — OS-assigned ports by default,
-/// `base_port + i` when a fixed range was requested — and returns the
-/// listeners with their actual addresses.
-pub(crate) fn bind_listeners(
-    n: usize,
-    base_port: Option<u16>,
-) -> Result<(Vec<TcpListener>, Vec<SocketAddr>), ClusterError> {
-    let mut listeners = Vec::with_capacity(n);
-    let mut addrs = Vec::with_capacity(n);
-    for i in 0..n {
-        let addr = match base_port {
-            Some(base) => {
-                let port = base.checked_add(i as u16).ok_or_else(|| {
-                    ClusterError::Bind(std::io::Error::new(
-                        std::io::ErrorKind::InvalidInput,
-                        "base_port + replica id overflows u16",
-                    ))
-                })?;
-                format!("127.0.0.1:{port}")
-            }
-            None => "127.0.0.1:0".to_string(),
-        };
-        let listener = TcpListener::bind(&addr).map_err(ClusterError::Bind)?;
-        addrs.push(listener.local_addr().map_err(ClusterError::Bind)?);
-        listeners.push(listener);
-    }
-    Ok((listeners, addrs))
-}
 
 /// Builds and runs a localhost TCP ProBFT cluster.
 ///
@@ -228,49 +169,46 @@ impl ClusterBuilder {
     }
 
     /// Like [`run`](Self::run), additionally returning the cluster-wide
-    /// frame-rejection counters (for observability and malformed-peer
-    /// tests).
+    /// metrics snapshot: every replica's `probft-obs` registry folded into
+    /// one (frame byte counters, rejected-frame counters), for
+    /// observability and malformed-peer tests.
     ///
     /// # Errors
     ///
     /// Same as [`run`](Self::run).
-    pub fn run_with_stats(self) -> Result<(Vec<Decision>, Arc<TransportStats>), ClusterError> {
+    pub fn run_with_stats(self) -> Result<(Vec<Decision>, MetricsSnapshot), ClusterError> {
         let cfg: SharedConfig = Arc::new(ProbftConfig::builder(self.n).build());
         let keyring = Keyring::generate(self.n, &self.seed.to_be_bytes());
         let public = Arc::new(keyring.public());
         let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(TransportStats::default());
         let (decision_tx, decision_rx) = mpsc::channel::<(usize, Decision)>();
 
         // Bind all listeners up front (collecting the OS-assigned
         // addresses) so peers can connect immediately.
         let (listeners, addrs) = bind_listeners(self.n, self.base_port)?;
         let addrs = Arc::new(addrs);
+        let obs: Vec<Arc<Obs>> = (0..self.n)
+            .map(|i| Arc::new(Obs::new(format!("replica-{i}"))))
+            .collect();
 
         let mut handles = Vec::with_capacity(self.n);
-        for (i, listener) in listeners.into_iter().enumerate() {
-            let cfg = cfg.clone();
+        for (i, (listener, obs)) in listeners.into_iter().zip(obs.iter().cloned()).enumerate() {
             let sk = keyring
                 .signing_key(i)
                 .map_err(|_| ClusterError::Config("keyring shorter than cluster size"))?
                 .clone();
-            let public = public.clone();
-            let shutdown = shutdown.clone();
-            let stats = stats.clone();
-            let decision_tx = decision_tx.clone();
+            let replica = Replica::new(
+                cfg.clone(),
+                ReplicaId::from(i),
+                sk,
+                public.clone(),
+                Value::from_tag(i as u64),
+            );
             let addrs = addrs.clone();
+            let shutdown = shutdown.clone();
+            let decision_tx = decision_tx.clone();
             handles.push(thread::spawn(move || {
-                replica_main(
-                    i,
-                    addrs,
-                    listener,
-                    cfg,
-                    sk,
-                    public,
-                    shutdown,
-                    stats,
-                    decision_tx,
-                );
+                decide_and_report(i, addrs, listener, replica, shutdown, obs, decision_tx)
             }));
         }
         drop(decision_tx);
@@ -315,126 +253,41 @@ impl ClusterBuilder {
                 n: self.n,
             });
         }
-        Ok((done, stats))
+        let snapshots: Vec<MetricsSnapshot> = obs.iter().map(|o| o.snapshot()).collect();
+        Ok((done, aggregate(&snapshots)))
     }
 }
 
-/// Inbound events to a replica's event loop.
-enum Event {
-    Net(ProcessId, Message),
-}
-
-#[allow(clippy::too_many_arguments)]
-fn replica_main(
+/// One replica thread: drive the replica until shutdown, reporting its
+/// decision once.
+fn decide_and_report(
     id: usize,
     addrs: Arc<Vec<SocketAddr>>,
     listener: TcpListener,
-    cfg: SharedConfig,
-    sk: probft_crypto::schnorr::SigningKey,
-    public: Arc<probft_crypto::keyring::PublicKeyring>,
+    mut replica: Replica,
     shutdown: Arc<AtomicBool>,
-    stats: Arc<TransportStats>,
+    obs: Arc<Obs>,
     decision_tx: mpsc::Sender<(usize, Decision)>,
 ) {
-    let n = addrs.len();
-    let (event_tx, event_rx) = mpsc::channel::<Event>();
-
-    // Accept loop: one reader thread per inbound connection. Handles are
-    // tracked so a finished (or timed-out) run can join every thread it
-    // spawned instead of leaking them.
-    let readers: Arc<std::sync::Mutex<Vec<thread::JoinHandle<()>>>> =
-        Arc::new(std::sync::Mutex::new(Vec::new()));
-    let accept_handle = {
-        let event_tx = event_tx.clone();
-        let shutdown = shutdown.clone();
-        let stats = stats.clone();
-        let readers = readers.clone();
-        if listener.set_nonblocking(true).is_err() {
-            return; // cannot accept peers; the deadline will report this
-        }
-        thread::spawn(move || {
-            while !shutdown.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let event_tx = event_tx.clone();
-                        let shutdown = shutdown.clone();
-                        let stats = stats.clone();
-                        let handle = thread::spawn(move || {
-                            reader_loop(stream, n, event_tx, shutdown, stats)
-                        });
-                        if let Ok(mut guard) = readers.lock() {
-                            reap_finished(&mut guard);
-                            guard.push(handle);
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        crate::pacing::pause(crate::pacing::ACCEPT_POLL);
-                    }
-                    Err(_) => break,
-                }
-            }
-        })
-    };
-
-    let mut replica = Replica::new(
-        cfg,
-        ReplicaId::from(id),
-        sk,
-        public,
-        Value::from_tag(id as u64),
+    let codec = PeerCodec { n: addrs.len() };
+    // The loop keeps its own sender, so the channel never disconnects
+    // under it, even if the accept thread stops.
+    let (event_tx, event_rx) = mpsc::channel();
+    let inbound = Inbound::accept(
+        listener,
+        codec,
+        event_tx.clone(),
+        shutdown.clone(),
+        obs.clone(),
     );
-    let mut rng = StdRng::seed_from_u64(0xC1A5 ^ id as u64);
-    let mut peers: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-    let mut timers: BinaryHeap<Reverse<(Instant, TimerToken)>> = BinaryHeap::new();
-    let started = Instant::now();
-    let now_sim = |started: Instant| SimTime::from_ticks(started.elapsed().as_micros() as u64);
+    let mut driver = Driver::new(id, addrs, codec, Arc::default(), obs, 0xC1A5 ^ id as u64);
+    driver.step(|ctx| replica.on_start(ctx));
     let mut reported = false;
-
-    // Start the protocol.
-    let actions = {
-        let mut ctx: Context<'_, Message> =
-            Context::detached(ProcessId(id), now_sim(started), &mut rng);
-        replica.on_start(&mut ctx);
-        ctx.drain_actions()
-    };
-    apply_actions(id, &addrs, actions, &mut peers, &mut timers, started);
-
     while !shutdown.load(Ordering::SeqCst) {
-        // Fire due timers.
-        while let Some(Reverse((deadline, token))) = timers.peek().copied() {
-            if deadline > Instant::now() {
-                break;
-            }
-            timers.pop();
-            let actions = {
-                let mut ctx: Context<'_, Message> =
-                    Context::detached(ProcessId(id), now_sim(started), &mut rng);
-                replica.on_timer(token, &mut ctx);
-                ctx.drain_actions()
-            };
-            apply_actions(id, &addrs, actions, &mut peers, &mut timers, started);
+        driver.fire_due(&mut replica);
+        if let Ok((from, msg)) = event_rx.recv_timeout(driver.wait()) {
+            driver.step(|ctx| replica.on_message(from, msg, ctx));
         }
-
-        // Wait for the next event or timer deadline.
-        let wait = timers
-            .peek()
-            .map(|Reverse((deadline, _))| deadline.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(20))
-            .min(Duration::from_millis(20));
-        match event_rx.recv_timeout(wait) {
-            Ok(Event::Net(from, msg)) => {
-                let actions = {
-                    let mut ctx: Context<'_, Message> =
-                        Context::detached(ProcessId(id), now_sim(started), &mut rng);
-                    replica.on_message(from, msg, &mut ctx);
-                    ctx.drain_actions()
-                };
-                apply_actions(id, &addrs, actions, &mut peers, &mut timers, started);
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        }
-
         if !reported {
             if let Some(d) = replica.decision() {
                 reported = true;
@@ -442,168 +295,25 @@ fn replica_main(
             }
         }
     }
-
-    // Shutdown was requested: wait for the accept loop and every reader it
-    // spawned, so the cluster run (including a timed-out one) leaves no
-    // threads behind once `run` returns.
-    let _ = accept_handle.join();
-    let handles = match readers.lock() {
-        Ok(mut guard) => guard.drain(..).collect::<Vec<_>>(),
-        Err(_) => Vec::new(),
-    };
-    for handle in handles {
-        let _ = handle.join();
-    }
-}
-
-fn reader_loop(
-    stream: TcpStream,
-    n: usize,
-    event_tx: mpsc::Sender<Event>,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<TransportStats>,
-) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let mut reader = BufReader::new(stream);
-    while !shutdown.load(Ordering::SeqCst) {
-        match read_frame(&mut reader) {
-            Ok(Some(frame)) => match parse_peer_frame(&frame, n) {
-                Ok((from, msg)) => {
-                    if event_tx.send(Event::Net(from, msg)).is_err() {
-                        return;
-                    }
-                }
-                // Rejected input is dropped, counted, and the connection
-                // kept — a malformed peer must not silence a link.
-                Err(FrameReject::Short) => stats.note_short(),
-                Err(FrameReject::Malformed) => stats.note_malformed(),
-            },
-            Ok(None) => return, // peer closed at a frame boundary
-            Err(FrameError::Io(e))
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            // A peer-announced length beyond the cap is malformed input,
-            // not a connection fault.
-            Err(FrameError::Oversized(_)) => {
-                stats.note_malformed();
-                return;
-            }
-            // Everything else ended the connection mid-stream: EOF inside
-            // a frame, a mid-frame stall, or a socket error (reset etc.).
-            Err(FrameError::Io(_) | FrameError::Stalled { .. }) => {
-                stats.note_torn();
-                return;
-            }
-        }
-    }
-}
-
-fn apply_actions(
-    id: usize,
-    addrs: &[SocketAddr],
-    actions: Vec<Action<Message>>,
-    peers: &mut [Option<TcpStream>],
-    timers: &mut BinaryHeap<Reverse<(Instant, TimerToken)>>,
-    _started: Instant,
-) {
-    for action in actions {
-        match action {
-            Action::Send { to, msg } => {
-                if to.index() >= addrs.len() {
-                    continue;
-                }
-                let mut frame = (id as u32).to_be_bytes().to_vec();
-                msg.encode(&mut frame);
-                if let Some(stream) = connect_peer(peers, to.index(), addrs, BOOT_CONNECT_ATTEMPTS)
-                {
-                    if write_frame(stream, &frame).is_err() {
-                        // Drop the broken link; a later send reconnects.
-                        if let Some(slot) = peers.get_mut(to.index()) {
-                            *slot = None;
-                        }
-                    }
-                }
-            }
-            Action::SetTimer { delay, token } => {
-                let deadline = Instant::now() + tick_to_duration(delay);
-                timers.push(Reverse((deadline, token)));
-            }
-            Action::Halt => {}
-        }
-    }
-}
-
-/// Joins and removes reader threads that already exited (disconnected
-/// peers/clients), so a long-lived accept loop does not accumulate dead
-/// handles without bound.
-pub(crate) fn reap_finished(handles: &mut Vec<thread::JoinHandle<()>>) {
-    let mut i = 0;
-    while i < handles.len() {
-        if handles.get(i).is_some_and(|h| h.is_finished()) {
-            let _ = handles.swap_remove(i).join();
-        } else {
-            i += 1;
-        }
-    }
-}
-
-/// One simulator tick = one microsecond of wall time.
-pub(crate) fn tick_to_duration(d: SimDuration) -> Duration {
-    Duration::from_micros(d.ticks())
-}
-
-/// Connect attempts while a cluster boots (peers come up concurrently;
-/// retry for up to ~500 ms). Once a cluster is running, callers should
-/// fail fast instead — see [`STEADY_CONNECT_ATTEMPTS`].
-pub(crate) const BOOT_CONNECT_ATTEMPTS: u32 = 50;
-
-/// Connect attempts against a peer that was reachable before: one quick
-/// try, so a dead replica costs the sender an immediate refusal instead of
-/// a 500 ms stall inside its event loop on every send.
-pub(crate) const STEADY_CONNECT_ATTEMPTS: u32 = 1;
-
-/// Bound on how long a blocking socket write may stall the caller. A peer
-/// (or client) that stops reading fills its kernel buffer; without this a
-/// single such connection wedges the sender's whole event loop.
-pub(crate) const WRITE_STALL_LIMIT: Duration = Duration::from_secs(1);
-
-pub(crate) fn connect_peer<'a>(
-    peers: &'a mut [Option<TcpStream>],
-    to: usize,
-    addrs: &[SocketAddr],
-    attempts: u32,
-) -> Option<&'a mut TcpStream> {
-    let addr = *addrs.get(to)?;
-    let slot = peers.get_mut(to)?;
-    if slot.is_none() {
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                crate::pacing::pause(crate::pacing::CONNECT_RETRY);
-            }
-            if let Ok(s) = TcpStream::connect(addr) {
-                let _ = s.set_nodelay(true);
-                let _ = s.set_write_timeout(Some(WRITE_STALL_LIMIT));
-                *slot = Some(s);
-                break;
-            }
-        }
-    }
-    slot.as_mut()
+    inbound.join();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::read_loop;
+    use crate::live::SmrCodec;
+    use crate::transport::write_frame;
+    use probft_smr::KvStore;
     use std::io::Write;
+    use std::net::TcpStream;
+    use std::sync::Mutex;
 
     #[test]
     fn five_replica_cluster_decides() {
         // Default OS-assigned ports: no fixed range, no collisions under
         // parallel test runs.
-        let (decisions, stats) = ClusterBuilder::new(5)
+        let (decisions, metrics) = ClusterBuilder::new(5)
             .deadline(Duration::from_secs(30))
             .run_with_stats()
             .expect("cluster decides");
@@ -615,9 +325,11 @@ mod tests {
         );
         // Replica 0 leads view 1 and proposes its own value.
         assert_eq!(decisions[0].value, Value::from_tag(0));
-        // Honest peers produce no rejected frames.
-        assert_eq!(stats.short_frames(), 0);
-        assert_eq!(stats.malformed_frames(), 0);
+        // Honest peers produce no rejected frames, and every replica's
+        // outbound peer bytes land in the cluster-wide snapshot.
+        assert_eq!(metrics.label(), "cluster");
+        assert_eq!(metrics.counter("frames_malformed"), 0);
+        assert!(metrics.counter_total("frame_bytes_out") > 0);
     }
 
     #[test]
@@ -630,99 +342,88 @@ mod tests {
         assert!(matches!(err, ClusterError::Bind(_)), "{err}");
     }
 
+    /// Runs the shared read loop over one connection whose peer end `feed`
+    /// writes to and then drops, returning the reader's metrics and how
+    /// many events reached the replica.
+    fn read_with<C: Codec>(codec: C, feed: impl FnOnce(TcpStream)) -> (MetricsSnapshot, usize) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        feed(peer);
+        let (events, delivered) = mpsc::channel();
+        let obs = Obs::new("replica-0");
+        read_loop(stream, &codec, &events, &AtomicBool::new(false), &obs);
+        (obs.snapshot(), delivered.try_iter().count())
+    }
+
     /// Regression: short (< 4 byte) and undecodable frames from a rogue
     /// peer used to reach a panicking `expect` path; they must be counted
     /// and dropped while the reader thread keeps serving the connection.
+    fn malformed_frames_are_counted<C: Codec>(codec: C) {
+        let (metrics, delivered) = read_with(codec, |mut peer| {
+            // Frame shorter than the sender prefix.
+            write_frame(&mut peer, &[0xAB, 0xCD]).expect("short frame");
+            // Valid sender id (0 < 4) but garbage message bytes.
+            write_frame(&mut peer, &[0, 0, 0, 0, 0xFF, 0xFF, 0xFF]).expect("garbage frame");
+            // Out-of-range sender id with a plausible length.
+            write_frame(&mut peer, &[0xFF, 0xFF, 0xFF, 0xFF, 1]).expect("bogus sender");
+            // Dropping the peer is a clean EOF at a frame boundary: not a
+            // torn frame.
+        });
+        assert_eq!(metrics.counter("frames_malformed"), 3);
+        assert_eq!(metrics.counter("frames_torn"), 0);
+        assert_eq!(delivered, 0, "no rejected frame may reach the replica");
+    }
+
     #[test]
     fn malformed_peer_frames_are_counted_not_fatal() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let (event_tx, event_rx) = mpsc::channel();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(TransportStats::default());
-
-        let reader = {
-            let shutdown = shutdown.clone();
-            let stats = stats.clone();
-            thread::spawn(move || {
-                let (stream, _) = listener.accept().expect("accept");
-                reader_loop(stream, 4, event_tx, shutdown, stats);
-            })
-        };
-
-        let mut peer = TcpStream::connect(addr).expect("connect");
-        // Frame shorter than the sender prefix.
-        write_frame(&mut peer, &[0xAB, 0xCD]).expect("short frame");
-        // Valid sender id (0 < 4) but garbage message bytes.
-        write_frame(&mut peer, &[0, 0, 0, 0, 0xFF, 0xFF, 0xFF]).expect("garbage frame");
-        // Out-of-range sender id with a plausible length.
-        write_frame(&mut peer, &[0xFF, 0xFF, 0xFF, 0xFF, 1]).expect("bogus sender");
-        drop(peer); // clean EOF at a frame boundary: not a torn frame
-
-        reader.join().expect("reader thread exits cleanly");
-        assert_eq!(stats.short_frames(), 1);
-        assert_eq!(stats.malformed_frames(), 2);
-        assert_eq!(stats.torn_frames(), 0);
-        assert!(
-            event_rx.try_recv().is_err(),
-            "no rejected frame may reach the replica"
-        );
+        malformed_frames_are_counted(PeerCodec { n: 4 });
+        malformed_frames_are_counted(SmrCodec::<KvStore>::new(4));
     }
 
     /// A peer dying mid-frame (torn length prefix) is recorded as a torn
     /// connection, not mistaken for a clean close.
+    fn torn_connection_is_counted<C: Codec>(codec: C) {
+        let (metrics, _) = read_with(codec, |mut peer| {
+            peer.write_all(&[0, 0]).expect("half a length prefix");
+        });
+        assert_eq!(metrics.counter("frames_torn"), 1);
+        assert_eq!(metrics.counter("frames_malformed"), 0);
+    }
+
     #[test]
     fn torn_peer_connection_is_counted() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let (event_tx, _event_rx) = mpsc::channel();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(TransportStats::default());
-
-        let reader = {
-            let shutdown = shutdown.clone();
-            let stats = stats.clone();
-            thread::spawn(move || {
-                let (stream, _) = listener.accept().expect("accept");
-                reader_loop(stream, 4, event_tx, shutdown, stats);
-            })
-        };
-
-        let mut peer = TcpStream::connect(addr).expect("connect");
-        peer.write_all(&[0, 0]).expect("half a length prefix");
-        drop(peer);
-
-        reader.join().expect("reader thread exits cleanly");
-        assert_eq!(stats.torn_frames(), 1);
+        torn_connection_is_counted(PeerCodec { n: 4 });
+        torn_connection_is_counted(SmrCodec::<KvStore>::new(4));
     }
 
     /// A peer announcing a frame beyond the size cap is counted as
     /// malformed and disconnected — not silently dropped, not trusted
     /// with the allocation.
+    fn oversized_frame_is_counted<C: Codec>(codec: C) {
+        let (metrics, _) = read_with(codec, |mut peer| {
+            peer.write_all(&u32::MAX.to_be_bytes())
+                .expect("absurd length prefix");
+        });
+        assert_eq!(metrics.counter("frames_malformed"), 1);
+        assert_eq!(metrics.counter("frames_torn"), 0);
+    }
+
     #[test]
     fn oversized_peer_frame_is_counted() {
+        oversized_frame_is_counted(PeerCodec { n: 4 });
+        oversized_frame_is_counted(SmrCodec::<KvStore>::new(4));
+    }
+
+    /// Garbage never decodes into an event, whichever codec reads it.
+    fn garbage_is_rejected<C: Codec>(codec: C) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let (event_tx, _event_rx) = mpsc::channel();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(TransportStats::default());
-
-        let reader = {
-            let shutdown = shutdown.clone();
-            let stats = stats.clone();
-            thread::spawn(move || {
-                let (stream, _) = listener.accept().expect("accept");
-                reader_loop(stream, 4, event_tx, shutdown, stats);
-            })
-        };
-
-        let mut peer = TcpStream::connect(addr).expect("connect");
-        peer.write_all(&u32::MAX.to_be_bytes())
-            .expect("absurd length prefix");
-
-        reader.join().expect("reader thread exits cleanly");
-        assert_eq!(stats.malformed_frames(), 1);
-        assert_eq!(stats.torn_frames(), 0);
+        let conn = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let reply: ReplyHandle = Arc::new(Mutex::new(conn));
+        let garbage: [&[u8]; 4] = [&[], &[1, 2, 3], &[0, 0, 0, 9, 1, 2, 3], &[0, 0, 0, 0]];
+        for frame in garbage {
+            assert!(codec.decode(frame, &reply).is_none(), "{frame:?} decoded");
+        }
     }
 
     #[test]
@@ -739,5 +440,7 @@ mod tests {
             Err(FrameReject::Malformed),
             "empty message body is rejected"
         );
+        garbage_is_rejected(PeerCodec { n: 4 });
+        garbage_is_rejected(SmrCodec::<KvStore>::new(4));
     }
 }

@@ -1908,6 +1908,91 @@ mod tests {
         assert_eq!(laggard.checkpoint_stats().state_transfers, 1);
     }
 
+    /// A laggard that caught up by snapshot install keeps checkpointing on
+    /// its own: once more slots decide through real consensus, it takes
+    /// checkpoints at the following interval boundaries and sees them
+    /// become stable, instead of living off installed snapshots forever.
+    #[test]
+    fn laggard_keeps_checkpointing_after_snapshot_install() {
+        let interval = 4u64;
+        let mut cluster: Vec<(SmrNode<KvStore>, StdRng)> = (0..4)
+            .map(|id| checkpoint_node(id, interval as usize, 1))
+            .collect();
+        // Replicas 0–2 apply the first interval; replica 3 installs it from
+        // an attested state reply instead.
+        for (node, rng) in &mut cluster[..3] {
+            apply_slots(node, rng, 0, interval);
+        }
+        let (donor, _) = &cluster[0];
+        let own = donor.own_checkpoints.get(&interval).expect("own");
+        let keyring = Keyring::generate(4, b"node-tests");
+        let rep = StateReply {
+            slot: interval,
+            snapshot: own.bytes.clone(),
+            certificate: (0..3)
+                .map(|i| {
+                    CheckpointVote::sign(
+                        keyring.signing_key(i).expect("in range"),
+                        ReplicaId::from(i),
+                        interval,
+                        own.digest,
+                    )
+                })
+                .collect(),
+        };
+        let (laggard, rng) = &mut cluster[3];
+        let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO, rng);
+        laggard.on_message(ProcessId(0), SmrMessage::StateReply(rep), &mut ctx);
+        assert_eq!(laggard.checkpoint_stats().state_transfers, 1);
+        assert_eq!(laggard.checkpoint_stats().taken, 0);
+
+        // Two more intervals of writes through the view-1 leader, decided
+        // by the four nodes exchanging messages in FIFO order (timers never
+        // fire: the run is fault-free).
+        let mut inflight: std::collections::VecDeque<(usize, ProcessId, SmrMessage)> =
+            std::collections::VecDeque::new();
+        for i in interval..3 * interval {
+            let (leader, rng) = &mut cluster[0];
+            let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO, rng);
+            leader.submit(
+                Entry::tagged_write(
+                    RequestId {
+                        client: 2,
+                        seq: i + 1,
+                    },
+                    Command::Put {
+                        key: format!("k{i}"),
+                        value: format!("v{i}"),
+                    },
+                ),
+                &mut ctx,
+            );
+            for action in ctx.drain_actions() {
+                if let Action::Send { to, msg } = action {
+                    inflight.push_back((to.index(), ProcessId(0), msg));
+                }
+            }
+            while let Some((to, from, msg)) = inflight.pop_front() {
+                let (node, rng) = &mut cluster[to];
+                let mut ctx = Context::detached(ProcessId(to), SimTime::ZERO, rng);
+                node.on_message(from, msg, &mut ctx);
+                for action in ctx.drain_actions() {
+                    if let Action::Send { to: next, msg } = action {
+                        inflight.push_back((next.index(), ProcessId(to), msg));
+                    }
+                }
+            }
+        }
+
+        let (laggard, _) = &cluster[3];
+        assert_eq!(laggard.total_log_len(), 3 * interval);
+        let stats = laggard.checkpoint_stats();
+        assert_eq!(stats.taken, 2, "own checkpoints at slots 8 and 12");
+        assert_eq!(stats.state_transfers, 1, "no second install needed");
+        assert_eq!(stats.stable_slot, 3 * interval);
+        assert_eq!(laggard.log_digest(), cluster[0].0.log_digest());
+    }
+
     /// Unsigned or forged checkpoint votes never count toward a quorum.
     #[test]
     fn forged_checkpoint_votes_are_dropped() {

@@ -45,8 +45,8 @@
 //! | [`runtime`] | `probft-runtime` | Thread-per-replica TCP deployment |
 //! | [`obs`] | `probft-obs` | Metrics registry, histograms, flight-recorder tracing |
 //!
-//! See `DESIGN.md` for the system inventory and per-experiment index, and
-//! `EXPERIMENTS.md` for paper-vs-measured results.
+//! See `DESIGN.md` for the documented substitutions and paper-fidelity
+//! notes, and the README for the experiments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

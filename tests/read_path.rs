@@ -1,7 +1,7 @@
 //! Integration tests for the client read path: the three consistency
 //! tiers over a real TCP cluster, plus robustness of the read frames.
 
-use probft::runtime::LiveSmrBuilder;
+use probft::runtime::{LiveSmrBuilder, ReplicaReport};
 use probft::smr::{Command, Consistency, KvResponse};
 
 /// Linearizable reads are ordered through the log, so a read issued after
@@ -190,13 +190,15 @@ fn malformed_read_frames_do_not_wedge_the_cluster() {
         );
     }
 
-    let stats = cluster.stats();
-    cluster.shutdown();
+    let metrics = ReplicaReport::aggregate_metrics(&cluster.shutdown());
     assert!(
-        stats.malformed_frames() >= 2,
+        metrics.counter("frames_malformed") >= 2,
         "malformed read frames must be counted"
     );
-    assert!(stats.torn_frames() >= 1, "torn frame must be counted");
+    assert!(
+        metrics.counter("frames_torn") >= 1,
+        "torn frame must be counted"
+    );
 }
 
 /// The whole consistency ladder in one session: a fresh key is written,

@@ -1,7 +1,7 @@
 //! Integration tests for the SMR extension and the live TCP runtime.
 
 use probft::quorum::ReplicaId;
-use probft::runtime::LiveSmrBuilder;
+use probft::runtime::{LiveSmrBuilder, ReplicaReport};
 use probft::smr::{Command, Entry, KvResponse, SmrBuilder};
 
 /// Multi-slot SMR with commands queued at several replicas: identical
@@ -343,14 +343,17 @@ fn torn_client_frames_do_not_wedge_the_cluster() {
     let mut client = cluster.client(2);
     client.put("alive", "yes").expect("cluster still serves");
 
-    let stats = cluster.stats();
     let reports = cluster.shutdown();
     assert!(reports.iter().all(|r| r.state.get("alive") == Some("yes")));
+    let metrics = ReplicaReport::aggregate_metrics(&reports);
     assert!(
-        stats.malformed_frames() >= 1,
+        metrics.counter("frames_malformed") >= 1,
         "garbage frame must be counted"
     );
-    assert!(stats.torn_frames() >= 1, "torn frame must be counted");
+    assert!(
+        metrics.counter("frames_torn") >= 1,
+        "torn frame must be counted"
+    );
 }
 
 mod live_matches_sim {
