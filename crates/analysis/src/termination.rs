@@ -190,9 +190,10 @@ mod tests {
     #[test]
     fn termination_near_one_at_larger_scale() {
         // Figure 5 top-right: at f/n = 0.2 termination approaches 1 as n
-        // grows. Our exact model is more conservative than the paper's
-        // plotted bound (see EXPERIMENTS.md); the shape — rapid approach
-        // to 1 — is what we assert.
+        // grows. Our exact model sits below the paper's plotted curve
+        // (`fig5_termination --sweep n` prints it next to the Lemma-4
+        // bound and a Monte Carlo column); the shape — rapid approach to
+        // 1 — is what we assert.
         let p100 = termination_exact(TerminationParams::from_paper(100, 20, 2.0, 1.8));
         let p300 = termination_exact(TerminationParams::from_paper(300, 60, 2.0, 1.8));
         let p640 = termination_exact(TerminationParams::from_paper(640, 128, 2.0, 1.8));

@@ -26,9 +26,17 @@
 //! All strategies are *static*: they are fixed before the run starts
 //! (static corruption adversary, §2.1), and the colluding replicas know
 //! each other (`Π_F` is shared).
+//!
+//! Strategies attack the instance's *start view* — view 1 unless the run
+//! opens every replica directly in a later view
+//! ([`ByzantineReplica::starting_in`]). In a later view a leader can only
+//! get honest replicas to accept a proposal that carries a deterministic
+//! quorum of `NewLeader` messages, so there the attacking leader first
+//! collects that quorum from the honest replicas and then equivocates
+//! with it attached.
 
 use crate::config::{SharedConfig, View};
-use crate::message::{Message, PhaseMessage, Propose, SignedProposal};
+use crate::message::{Message, NewLeader, PhaseMessage, Propose, SignedProposal};
 use crate::sampling::{derive_sample, Phase};
 use crate::value::Value;
 use probft_crypto::keyring::PublicKeyring;
@@ -36,7 +44,7 @@ use probft_crypto::schnorr::SigningKey;
 use probft_quorum::ReplicaId;
 use probft_simnet::process::{Context, Process, ProcessId, TimerToken};
 use rand::Rng;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -94,6 +102,11 @@ pub struct ByzantineReplica {
     /// The colluding set Π_F (known to every Byzantine replica, §2.1).
     faulty: Arc<BTreeSet<ReplicaId>>,
     strategy: ByzantineStrategy,
+    /// The view the attack runs in (see the module docs).
+    start_view: View,
+    /// `NewLeader` messages for `start_view`, collected (up to a quorum)
+    /// by a leader that may only propose with a quorum of them attached.
+    new_leaders: BTreeMap<ReplicaId, NewLeader>,
     /// Leader-signed proposals observed (the ammunition for double-voting).
     seen_proposals: Vec<SignedProposal>,
     /// Guards against double-casting the helper votes.
@@ -117,9 +130,20 @@ impl ByzantineReplica {
             keys,
             faulty,
             strategy,
+            start_view: View::FIRST,
+            new_leaders: BTreeMap::new(),
             seen_proposals: Vec::new(),
             helper_voted: false,
         }
+    }
+
+    /// Runs the strategy in `view` instead of view 1 — the counterpart of
+    /// [`Replica::starting_in`](crate::replica::Replica::starting_in) for
+    /// runs in which every replica opens the instance in a later view.
+    #[must_use]
+    pub fn starting_in(mut self, view: View) -> Self {
+        self.start_view = view.max(View::FIRST);
+        self
     }
 
     /// The strategy this replica executes.
@@ -144,19 +168,21 @@ impl ByzantineReplica {
         (pi1, pi2)
     }
 
-    fn is_leader_of_view_one(&self) -> bool {
-        self.cfg.leader_of(View::FIRST) == self.id
+    fn leads_start_view(&self) -> bool {
+        self.cfg.leader_of(self.start_view) == self.id
     }
 
-    /// Sends `value` as a view-1 proposal to `recipients`.
+    /// Sends `value` as a start-view proposal to `recipients`, justified by
+    /// the collected `NewLeader` quorum (empty in view 1).
     fn send_proposal_to(
         &mut self,
         value: Value,
         recipients: impl IntoIterator<Item = ReplicaId>,
         ctx: &mut Context<'_, Message>,
     ) -> SignedProposal {
-        let proposal = SignedProposal::sign(&self.sk, self.id, View::FIRST, value);
-        let propose = Propose::sign(&self.sk, proposal.clone(), vec![]);
+        let proposal = SignedProposal::sign(&self.sk, self.id, self.start_view, value);
+        let justification: Vec<NewLeader> = self.new_leaders.values().cloned().collect();
+        let propose = Propose::sign(&self.sk, proposal.clone(), justification);
         let targets: Vec<ProcessId> = recipients
             .into_iter()
             .map(|r| ProcessId(r.index()))
@@ -191,7 +217,7 @@ impl ByzantineReplica {
             for phase in [Phase::Prepare, Phase::Commit] {
                 let (sample, proof) = derive_sample(
                     &self.sk,
-                    View::FIRST,
+                    proposal.view,
                     phase,
                     self.cfg.sample_size(),
                     self.cfg.n(),
@@ -220,20 +246,16 @@ impl ByzantineReplica {
             }
         }
     }
-}
 
-impl Process for ByzantineReplica {
-    type Message = Message;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
+    /// The leader half of every strategy, run once in the start view.
+    fn lead(&mut self, ctx: &mut Context<'_, Message>) {
         match self.strategy.clone() {
-            ByzantineStrategy::Crash => ctx.halt(),
-            ByzantineStrategy::Silent => {}
+            ByzantineStrategy::Crash | ByzantineStrategy::Silent => {}
             ByzantineStrategy::EquivocatingLeader {
                 values,
                 skip_fraction,
             } => {
-                if !self.is_leader_of_view_one() {
+                if !self.leads_start_view() {
                     return;
                 }
                 // Assign each replica one of `values` proposals at random,
@@ -254,7 +276,7 @@ impl Process for ByzantineReplica {
                 }
             }
             ByzantineStrategy::SplitLeader => {
-                if !self.is_leader_of_view_one() {
+                if !self.leads_start_view() {
                     return;
                 }
                 // Fig. 4b: split all replicas into two halves by index.
@@ -268,7 +290,7 @@ impl Process for ByzantineReplica {
                 self.seen_proposals.push(p2);
             }
             ByzantineStrategy::OptimalSplitLeader => {
-                if self.is_leader_of_view_one() {
+                if self.leads_start_view() {
                     // Fig. 4c: val1 → Π¹_C ∪ Π_F, val2 → Π²_C ∪ Π_F.
                     let (pi1, pi2) = self.optimal_split();
                     let (val1, val2) = equivocation_values();
@@ -287,21 +309,51 @@ impl Process for ByzantineReplica {
             }
             ByzantineStrategy::FloodingReplica => {}
             ByzantineStrategy::InvalidValueLeader { value } => {
-                if self.is_leader_of_view_one() {
+                if self.leads_start_view() {
                     let all: Vec<ReplicaId> = self.cfg.all_replicas().collect();
                     self.send_proposal_to(value, all, ctx);
                 }
             }
         }
     }
+}
+
+impl Process for ByzantineReplica {
+    type Message = Message;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
+        match self.strategy {
+            ByzantineStrategy::Crash => ctx.halt(),
+            // View 1 needs no justification: attack right away. In a later
+            // view the attack waits for a NewLeader quorum (`on_message`).
+            _ if self.start_view == View::FIRST => self.lead(ctx),
+            _ => {}
+        }
+    }
 
     fn on_message(&mut self, _from: ProcessId, msg: Message, ctx: &mut Context<'_, Message>) {
+        if let Message::NewLeader(m) = &msg {
+            // A later-view leader attacks once honest replicas handed it
+            // the quorum its proposals must carry.
+            let quorum = self.cfg.deterministic_quorum();
+            if self.start_view > View::FIRST
+                && self.leads_start_view()
+                && m.view == self.start_view
+                && self.new_leaders.len() < quorum
+            {
+                self.new_leaders.insert(m.sender, m.clone());
+                if self.new_leaders.len() == quorum {
+                    self.lead(ctx);
+                }
+            }
+            return;
+        }
         match &self.strategy {
             ByzantineStrategy::OptimalSplitLeader => {
                 // Helpers collect the leader's signed equivocating
                 // proposals, then double-vote.
                 if let Message::Propose(p) = &msg {
-                    if p.view() == View::FIRST
+                    if p.view() == self.start_view
                         && !self
                             .seen_proposals
                             .iter()
@@ -317,12 +369,12 @@ impl Process for ByzantineReplica {
                 // sample. The VRF proof cannot cover it, so honest replicas
                 // reject — this strategy exists to *prove* that in tests.
                 if let Message::Propose(p) = &msg {
-                    if p.view() != View::FIRST {
+                    if p.view() != self.start_view {
                         return;
                     }
                     let (_, proof) = derive_sample(
                         &self.sk,
-                        View::FIRST,
+                        self.start_view,
                         Phase::Prepare,
                         self.cfg.sample_size(),
                         self.cfg.n(),

@@ -143,7 +143,16 @@ impl ProbftConfig {
 
     /// The per-view timeout: doubles each view, capped at the maximum.
     pub fn timeout_for(&self, view: View) -> SimDuration {
-        let exp = view.0.saturating_sub(1).min(16) as u32;
+        self.timeout_since(View::FIRST, view)
+    }
+
+    /// The timeout of `view` in an instance that started in view `start`:
+    /// the base timeout in the start view, doubling with each view change
+    /// since. An instance that opens directly in a later view has had no
+    /// view change of its own, so it does not inherit the backoff of the
+    /// views it skipped.
+    pub fn timeout_since(&self, start: View, view: View) -> SimDuration {
+        let exp = view.0.saturating_sub(start.0.max(1)).min(16) as u32;
         let scaled = self.base_timeout.saturating_mul(1u64 << exp);
         scaled.min(self.max_timeout)
     }

@@ -49,6 +49,7 @@ pub struct InstanceBuilder {
     pre_gst_max_delay: SimDuration,
     post_gst_delay: SimDuration,
     base_timeout: SimDuration,
+    start_view: View,
     byzantine: BTreeMap<ReplicaId, ByzantineStrategy>,
     values: BTreeMap<ReplicaId, Value>,
     validity: ValidityPredicate,
@@ -72,6 +73,7 @@ impl InstanceBuilder {
             pre_gst_max_delay: SimDuration::from_ticks(30_000),
             post_gst_delay: SimDuration::from_ticks(100),
             base_timeout: SimDuration::from_ticks(50_000),
+            start_view: View::FIRST,
             byzantine: BTreeMap::new(),
             values: BTreeMap::new(),
             validity: ValidityPredicate::accept_all(),
@@ -128,6 +130,14 @@ impl InstanceBuilder {
     /// Sets the base view timeout.
     pub fn base_timeout(mut self, d: SimDuration) -> Self {
         self.base_timeout = d;
+        self
+    }
+
+    /// Opens every replica directly in `view` instead of view 1 (the
+    /// entry point an SMR slot uses to open in the cluster's current
+    /// view); Byzantine strategies attack that view.
+    pub fn start_view(mut self, view: View) -> Self {
+        self.start_view = view;
         self
     }
 
@@ -233,27 +243,27 @@ impl InstanceBuilder {
             let id = ReplicaId::from(i);
             let sk = keyring.signing_key(i).expect("index in range").clone();
             let node = match self.byzantine.get(&id) {
-                Some(strategy) => Node::Byzantine(Box::new(ByzantineReplica::new(
-                    cfg.clone(),
-                    id,
-                    sk,
-                    public.clone(),
-                    faulty.clone(),
-                    strategy.clone(),
-                ))),
+                Some(strategy) => Node::Byzantine(Box::new(
+                    ByzantineReplica::new(
+                        cfg.clone(),
+                        id,
+                        sk,
+                        public.clone(),
+                        faulty.clone(),
+                        strategy.clone(),
+                    )
+                    .starting_in(self.start_view),
+                )),
                 None => {
                     let value = self
                         .values
                         .get(&id)
                         .cloned()
                         .unwrap_or_else(|| Value::from_tag(i as u64));
-                    Node::Honest(Box::new(Replica::new(
-                        cfg.clone(),
-                        id,
-                        sk,
-                        public.clone(),
-                        value,
-                    )))
+                    Node::Honest(Box::new(
+                        Replica::new(cfg.clone(), id, sk, public.clone(), value)
+                            .starting_in(self.start_view),
+                    ))
                 }
             };
             sim.add_process(node);

@@ -4,7 +4,7 @@
 //!
 //! | Algorithm 1 | Method |
 //! |---|---|
-//! | `upon newView(v)`, lines 1–5 | [`Replica::enter_view`] |
+//! | `upon newView(v)`, lines 1–5 | [`Replica::enter_view`] (also reached directly through [`Replica::starting_in`] and [`Replica::advance_to`]) |
 //! | NewLeader quorum, lines 6–12 | [`Replica::on_new_leader`] / [`Replica::maybe_propose`] |
 //! | `upon receiving Propose`, lines 13–16 | [`Replica::on_propose`] |
 //! | Prepare quorum, lines 17–20 | [`Replica::maybe_commit`] |
@@ -65,6 +65,11 @@ pub struct Replica {
     /// This replica's input value (`myValue()`).
     my_value: Value,
 
+    /// The view `on_start` enters: view 1 for a standalone instance, a
+    /// later one for an instance opened in a view the system already
+    /// works in. View timeouts are measured from it.
+    start_view: View,
+
     // --- Algorithm 1, line 1 state ---
     cur_view: View,
     cur_val: Option<Value>,
@@ -124,6 +129,7 @@ impl Replica {
             sk,
             keys,
             my_value,
+            start_view: View::FIRST,
             cur_view: View::FIRST,
             cur_val: None,
             voted: false,
@@ -143,6 +149,33 @@ impl Replica {
             conflicting_decision: false,
             stats: ReplicaStats::default(),
         }
+    }
+
+    /// Makes `on_start` enter `view` directly instead of view 1, as if the
+    /// synchronizer had just announced `newView(view)`. The replica runs
+    /// line 5 for it: a `NewLeader` with nothing prepared goes to
+    /// `leader(view)`, which proposes once a deterministic quorum of them
+    /// arrived (lines 6–12). This is safe because it is an execution the
+    /// synchronizer abstraction already allows: a replica may enter any
+    /// higher view, and one that never prepared anything reports exactly
+    /// that. The view timer starts at the base timeout in `view`.
+    #[must_use]
+    pub fn starting_in(mut self, view: View) -> Self {
+        self.start_view = view.max(View::FIRST);
+        self.sync.jump_to(self.start_view);
+        self
+    }
+
+    /// Moves a running replica into `view` now (a no-op unless `view` is
+    /// higher than the current one), with everything it prepared so far:
+    /// line 5 reports it to `leader(view)` exactly as after a timeout-driven
+    /// view change, and messages buffered for `view` are replayed.
+    pub fn advance_to(&mut self, view: View, ctx: &mut Context<'_, Message>) {
+        if view <= self.cur_view {
+            return;
+        }
+        self.sync.jump_to(view);
+        self.enter_view(view, ctx);
     }
 
     /// This replica's identifier.
@@ -207,7 +240,10 @@ impl Replica {
         self.stats.views_entered += 1;
 
         // Arm the view timer (token = view number).
-        ctx.set_timer(self.cfg.timeout_for(view), TimerToken(view.0));
+        ctx.set_timer(
+            self.cfg.timeout_since(self.start_view, view),
+            TimerToken(view.0),
+        );
 
         if view == View::FIRST {
             if self.cfg.leader_of(view) == self.id {
@@ -498,7 +534,7 @@ impl Process for Replica {
     type Message = Message;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
-        self.enter_view(View::FIRST, ctx);
+        self.enter_view(self.start_view, ctx);
     }
 
     fn on_message(&mut self, _from: ProcessId, msg: Message, ctx: &mut Context<'_, Message>) {
@@ -544,7 +580,7 @@ impl Process for Replica {
         // keeps re-broadcasting its wish.
         let action = self.sync.on_timeout();
         ctx.set_timer(
-            self.cfg.timeout_for(self.cur_view),
+            self.cfg.timeout_since(self.start_view, self.cur_view),
             TimerToken(self.cur_view.0),
         );
         self.apply_sync_action(action, ctx);

@@ -85,6 +85,15 @@ impl Synchronizer {
         self.raise_wish(target)
     }
 
+    /// Moves this replica straight into `view` (a no-op unless it is
+    /// higher than the current one), as if a `newView(view)` notification
+    /// had fired. Used to open an instance in the view the rest of the
+    /// system already works in; later views are reached by the usual
+    /// wish rules from there.
+    pub fn jump_to(&mut self, view: View) {
+        self.current = self.current.max(view);
+    }
+
     /// Records a (verified) wish from `sender` for `view`.
     pub fn on_wish(&mut self, sender: ReplicaId, view: View) -> SyncAction {
         let entry = self.wishes.entry(sender).or_insert(View::NONE);
@@ -239,6 +248,20 @@ mod tests {
         assert_eq!(a.broadcast_wish, Some(View(9)));
         assert_eq!(a.enter_view, Some(View(9)));
         assert_eq!(s.current_view(), View(9));
+    }
+
+    #[test]
+    fn jump_skips_ahead_and_wishes_continue_from_there() {
+        let mut s = sync(1);
+        s.jump_to(View(3));
+        assert_eq!(s.current_view(), View(3));
+        s.jump_to(View(2));
+        assert_eq!(s.current_view(), View(3), "jumps never go back");
+        // Wishes for views the jump skipped are stale.
+        s.on_wish(ReplicaId(1), View(2));
+        assert_eq!(s.on_wish(ReplicaId(2), View(2)).enter_view, None);
+        // A timeout wishes for the view after the jump target.
+        assert_eq!(s.on_timeout().broadcast_wish, Some(View(4)));
     }
 
     #[test]

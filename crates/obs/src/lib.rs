@@ -47,9 +47,15 @@ pub struct Obs {
     epoch: Instant,
     /// Microseconds-since-epoch of the most recent nemesis fault, plus
     /// one (so zero means "no outstanding fault"). Cleared by the first
-    /// commit progress after the fault, which records the elapsed time
-    /// into `recovery_latency_us`.
+    /// applied slot that opened after the fault and decided past
+    /// `fault_view`, which records the elapsed time into
+    /// `recovery_latency_us`.
     fault_marker: AtomicU64,
+    /// The view the entity works in, as last reported by
+    /// [`Obs::note_view`] (0 until then).
+    view: AtomicU64,
+    /// `view` when the outstanding fault was marked.
+    fault_view: AtomicU64,
 
     /// Request receive → reply sent, per request, at the serving replica (µs).
     pub commit_latency_us: Arc<Histogram>,
@@ -65,8 +71,9 @@ pub struct Obs {
     pub state_transfer_us: Arc<Histogram>,
     /// Client-side request round-trip time (µs).
     pub request_rtt_us: Arc<Histogram>,
-    /// Nemesis fault marker → next commit progress (µs): the view-change
-    /// recovery cost after a leader kill.
+    /// Nemesis fault marker → first applied slot that opened after it and
+    /// decided in a later view (µs): the view-change recovery cost after a
+    /// leader kill.
     pub recovery_latency_us: Arc<Histogram>,
 
     /// Requests answered from the reply cache without re-execution.
@@ -155,6 +162,8 @@ impl Obs {
             journal: Journal::new(capacity),
             epoch: Instant::now(),
             fault_marker: AtomicU64::new(0),
+            view: AtomicU64::new(0),
+            fault_view: AtomicU64::new(0),
         }
     }
 
@@ -202,9 +211,18 @@ impl Obs {
         self.registry.snapshot()
     }
 
+    /// Notes the view the entity now works in (an SMR replica's cluster
+    /// view). A fault marker remembers it, so recovery can be told apart
+    /// from the leftovers of the view the fault hit.
+    pub fn note_view(&self, view: u64) {
+        self.view.store(view, Ordering::SeqCst);
+    }
+
     /// Injects a nemesis fault marker: journals `FaultStart` and arms the
-    /// recovery-latency clock. The next [`Obs::note_progress`] records the
-    /// elapsed time into `recovery_latency_us`.
+    /// recovery-latency clock. The next [`Obs::note_progress`] for a slot
+    /// that opened after the fault and decided in a later view than the
+    /// one noted at the fault records the elapsed time into
+    /// `recovery_latency_us`.
     pub fn mark_fault(&self, fault: &str) {
         let now = self.now_micros();
         self.journal.push(
@@ -213,8 +231,10 @@ impl Obs {
                 fault: fault.to_string(),
             },
         );
+        self.fault_view
+            .store(self.view.load(Ordering::SeqCst), Ordering::SeqCst);
         self.fault_marker
-            .store(now.saturating_add(1), Ordering::Relaxed);
+            .store(now.saturating_add(1), Ordering::SeqCst);
     }
 
     /// Journals that a nemesis fault was lifted. Does *not* disarm the
@@ -225,11 +245,27 @@ impl Obs {
         });
     }
 
-    /// Notes commit progress (a slot applied). If a fault marker is
-    /// armed, records the fault→progress latency and disarms it.
-    pub fn note_progress(&self) {
-        let marker = self.fault_marker.swap(0, Ordering::Relaxed);
-        if marker != 0 {
+    /// Notes commit progress: a slot that opened at `opened_at_micros`
+    /// (on this bundle's clock) was applied, decided in `decided_view`.
+    /// If a fault marker is armed, the slot opened at or after the fault
+    /// and it decided past the view noted at the fault, records the
+    /// fault→progress latency and disarms it. Other slots do not count:
+    /// one in flight when the fault hit, or one a follower opened just
+    /// after it for a proposal the failed leader sent just before, says
+    /// nothing about whether the cluster recovered.
+    pub fn note_progress(&self, opened_at_micros: u64, decided_view: u64) {
+        let marker = self.fault_marker.load(Ordering::SeqCst);
+        if marker == 0
+            || opened_at_micros < marker - 1
+            || decided_view <= self.fault_view.load(Ordering::SeqCst)
+        {
+            return;
+        }
+        if self
+            .fault_marker
+            .compare_exchange(marker, 0, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+        {
             let elapsed = self.now_micros().saturating_sub(marker - 1);
             self.recovery_latency_us.record(elapsed);
         }
@@ -243,14 +279,53 @@ mod tests {
     #[test]
     fn fault_marker_drives_recovery_histogram() {
         let obs = Obs::new("replica-0");
-        obs.note_progress();
+        obs.note_progress(obs.now_micros(), 2);
         assert_eq!(obs.recovery_latency_us.count(), 0);
         obs.mark_fault("kill leader 0");
-        obs.note_progress();
-        obs.note_progress();
+        let after = obs.now_micros();
+        obs.note_progress(after, 2);
+        obs.note_progress(after, 2);
         assert_eq!(obs.recovery_latency_us.count(), 1);
         let journal = obs.journal().snapshot();
         assert!(matches!(journal[0].kind, TraceKind::FaultStart { .. }));
+    }
+
+    /// Recovery is the first applied slot that opened after the fault and
+    /// decided past the view the fault hit: slots that were already in
+    /// flight, or that carry the failed leader's last proposals, leave
+    /// the clock running.
+    #[test]
+    fn recovery_clock_ignores_slots_in_flight_at_the_fault() {
+        let obs = Obs::new("replica-1");
+        obs.note_view(1);
+        let in_flight = obs.now_micros();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        obs.mark_fault("kill leader 0");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        obs.note_progress(in_flight, 2);
+        assert_eq!(
+            obs.recovery_latency_us.count(),
+            0,
+            "a slot opened before the fault is not recovery"
+        );
+        obs.note_progress(obs.now_micros(), 1);
+        assert_eq!(
+            obs.recovery_latency_us.count(),
+            0,
+            "a slot decided in the failed view is not recovery"
+        );
+        obs.note_view(2);
+        let reopened = obs.now_micros();
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        obs.note_progress(reopened, 2);
+        let h = obs.snapshot();
+        let h = h.histogram("recovery_latency_us").expect("registered");
+        assert_eq!(h.count(), 1);
+        assert!(
+            h.max() >= 25_000,
+            "the clock ran from the fault to the later slot's apply: {} us",
+            h.max()
+        );
     }
 
     #[test]

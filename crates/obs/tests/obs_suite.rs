@@ -281,15 +281,16 @@ fn prometheus_exposition_lines_parse() {
 #[test]
 fn fault_marker_records_one_recovery_sample() {
     let obs = Obs::new("replica-1");
-    obs.note_progress();
+    obs.note_progress(obs.now_micros(), 2);
     assert_eq!(
         obs.recovery_latency_us.count(),
         0,
         "disarmed clock is silent"
     );
     obs.mark_fault("kill-leader");
-    obs.note_progress();
-    obs.note_progress();
+    let opened = obs.now_micros();
+    obs.note_progress(opened, 2);
+    obs.note_progress(opened, 2);
     assert_eq!(obs.recovery_latency_us.count(), 1);
     let events = obs.journal().snapshot();
     assert!(

@@ -9,9 +9,8 @@
 //! pending queue (demand-driven slot opening, so batching operates on what
 //! actually arrived), and once the operation reaches the applied log the
 //! replica answers with an [`SmrReply::Applied`] carrying the machine's
-//! *typed response*. Non-leaders redirect the client to the leader they
-//! currently observe (id *and* address, taken from the redirecting
-//! replica's current view, not the view-1 fallback); retried request ids
+//! *typed response*. Non-leaders redirect the client to the leader of
+//! their cluster view (id *and* address); retried request ids
 //! are deduplicated inside the replicated state machine and answered from
 //! its reply cache, so submissions stay at-most-once across redirects,
 //! reconnects, and view changes.
@@ -33,6 +32,9 @@
 //! fetches the snapshot over TCP with [`SmrFrame::StateRequest`] /
 //! [`SmrFrame::StateReply`] and resumes consensus from the checkpoint
 //! slot instead of replaying (or waiting forever for) the truncated log.
+//! The same request brings back the peers' retained signed messages for
+//! the slots above the checkpoint; a replica resumed after a
+//! [`pause`](LiveSmrCluster::pause) sends it right away.
 
 use crate::client::unusable_addr;
 use crate::cluster::ClusterError;
@@ -143,9 +145,9 @@ pub enum SmrReply<R> {
         response: R,
     },
     /// This replica is not the leader; resubmit to the named replica.
-    /// The hint reflects the redirecting replica's *current* view (the
-    /// view its latest applied slot decided in), so after a view change
-    /// even an idle replica points at the new leader.
+    /// The hint is the leader of the redirecting replica's cluster view,
+    /// so after a view change even an idle replica points at the new
+    /// leader.
     Redirect {
         /// The request this reply answers.
         request: RequestId,
@@ -788,8 +790,9 @@ impl<S: StateMachine> LiveSmrCluster<S> {
     }
 
     /// Un-stalls replica `i`. The replica resumes with whatever state it
-    /// had when paused; if the cluster moved past a stable checkpoint in
-    /// the meantime, it catches up by snapshot state transfer.
+    /// had when paused and at once asks its peers for what it missed: the
+    /// stable checkpoint if the cluster moved past one, and the peers'
+    /// retained messages for the slots above it.
     pub fn resume(&self, i: usize) {
         if let Some(w) = self.watches.get(i) {
             w.paused.store(false, Ordering::SeqCst);
@@ -844,9 +847,10 @@ impl<S: StateMachine> LiveSmrCluster<S> {
 
     /// Journals a nemesis fault marker on every replica's flight
     /// recorder. With `kill` set the marker also arms each replica's
-    /// recovery-latency clock: its next applied slot records the
-    /// fault→progress time into the `recovery_latency_us` histogram —
-    /// the post-leader-kill view-change recovery cost.
+    /// recovery-latency clock: its first applied slot that opened after
+    /// the fault and decided in a later view records the fault→progress
+    /// time into the `recovery_latency_us` histogram — the
+    /// post-leader-kill view-change recovery cost.
     pub fn note_fault(&self, fault: &str, kill: bool) {
         for obs in &self.obs {
             if kill {
@@ -922,10 +926,10 @@ impl<S: StateMachine> LiveSmrCluster<S> {
 
 /// How many client contacts a non-leading replica absorbs, without any
 /// log progress in between, before probing a slot open to force the
-/// view-change machinery to run. Covers the never-view-changed
-/// idle-leader-crash case: clients keep arriving, every redirect points
-/// at the silent view-1 leader, and nothing would ever time out because
-/// no slot is in flight anywhere.
+/// view-change machinery to run. Covers the idle-leader-crash case:
+/// clients keep arriving, every redirect points at the silent leader of
+/// the cluster view, and nothing would ever time out because no slot is
+/// in flight anywhere.
 const FOLLOWER_PROBE_CONTACTS: u32 = 3;
 
 /// What a live replica thread shares with the cluster handle.
@@ -1103,8 +1107,8 @@ fn smr_replica_main<S: StateMachine>(
         obs.clone(),
         0x11FE ^ id as u64,
     );
-    // Points a client at the replica this one currently believes leads,
-    // by id and address, taken from its current working view.
+    // Points a client at the leader of this replica's cluster view, by id
+    // and address.
     let redirect = |node: &SmrNode<S>, reply: &ReplyHandle, request: RequestId| {
         let leader = node.current_leader().index();
         // `% n` keeps the index in range for any sane `addrs`; `.get`
@@ -1144,13 +1148,21 @@ fn smr_replica_main<S: StateMachine>(
     // queued because the pending queue was at its cap.
     let mut shed_requests: u64 = 0;
 
+    let mut was_paused = false;
     while !shutdown.load(Ordering::SeqCst) {
         if watch.paused.load(Ordering::SeqCst) {
             // Fault injection: a paused replica is a partitioned process.
             // Discard whatever arrives, fire nothing, send nothing.
             while event_rx.try_recv().is_ok() {}
             crate::pacing::pause(crate::pacing::PAUSED_POLL);
+            was_paused = true;
             continue;
+        }
+        if was_paused {
+            // Back from a pause: the cluster may have moved on, and an
+            // idle cluster sends nothing that would tell us. Ask.
+            was_paused = false;
+            driver.step(|ctx| node.catch_up(ctx));
         }
         driver.fire_due(&mut node);
         match event_rx.recv_timeout(driver.wait()) {

@@ -14,12 +14,14 @@
 //!
 //! Stability doubles as the catch-up signal. A replica that observes a
 //! quorum for a slot beyond its own pipeline window cannot recover by
-//! consensus any more (peers prune decided slot state on apply and never
-//! retransmit), so it asks the attesters for the snapshot with a
-//! [`StateRequest`]; any replica holding the stable checkpoint answers
-//! with a [`StateReply`], the laggard verifies the payload against the
-//! attested digest, restores, and resumes consensus from the checkpoint
-//! slot. Votes are Schnorr-signed with the replica keys — a single rogue
+//! consensus any more (peers prune decided slot state on apply), so it
+//! asks the attesters for the snapshot with a [`StateRequest`]; any
+//! replica holding a stable checkpoint above the requester's frontier
+//! answers with a [`StateReply`], the laggard verifies the payload
+//! against the attested digest, restores, and resumes consensus from the
+//! checkpoint slot. The same request also returns the peer's retained
+//! signed messages for the slots above its checkpoint, which let the
+//! laggard decide those slots itself. Votes are Schnorr-signed with the replica keys — a single rogue
 //! connection cannot forge a quorum — while the snapshot payload itself
 //! needs no signature: its digest is what the quorum attested.
 
@@ -207,15 +209,18 @@ impl fmt::Display for CheckpointVote {
     }
 }
 
-/// A laggard's request for the sender's stable checkpoint at or above
-/// `min_slot`. Unsigned: replies are only sent from an already-held
-/// stable checkpoint (no work is done on behalf of the requester), and
-/// each replica sends a given peer at most one reply per stable
-/// checkpoint — so the worst a forger reflecting requests at a victim
-/// gains is one snapshot-sized frame per checkpoint per replica.
+/// A laggard's request for what it missed from `min_slot` on: the
+/// sender's stable checkpoint if it lies above `min_slot`, and the
+/// sender's retained signed consensus messages for the slots from
+/// `min_slot`. Unsigned: replies are only sent from state already held
+/// (no work is done on behalf of the requester), each replica sends a
+/// given peer at most one snapshot per stable checkpoint and a slot's
+/// retained messages at most once — so the worst a forger reflecting
+/// requests at a victim gains is one snapshot-sized frame per checkpoint
+/// and one window of retained messages per replica.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StateRequest {
-    /// The lowest stable checkpoint slot that would help the requester.
+    /// The requester's apply frontier: it has applied every slot below.
     pub min_slot: u64,
 }
 

@@ -13,7 +13,7 @@ use probft_simnet::metrics::{MessageMetrics, ThroughputStats};
 use probft_simnet::process::ProcessId;
 use probft_simnet::sim::{RunOutcome, Simulation};
 use probft_simnet::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Builds and runs an SMR cluster ordering a shared workload against any
@@ -23,6 +23,7 @@ pub struct SmrBuilder<S: StateMachine = KvStore> {
     n: usize,
     seed: u64,
     workloads: BTreeMap<ReplicaId, Vec<S::Op>>,
+    silent: BTreeSet<ReplicaId>,
     settings: SmrSettings,
     max_events: u64,
 }
@@ -44,6 +45,7 @@ impl<S: StateMachine> SmrBuilder<S> {
             n,
             seed: 0,
             workloads: BTreeMap::new(),
+            silent: BTreeSet::new(),
             settings: SmrSettings {
                 target_len,
                 pipeline_depth: 4,
@@ -99,13 +101,25 @@ impl<S: StateMachine> SmrBuilder<S> {
         self
     }
 
-    /// Runs the cluster until every replica applied `target_len` entries.
+    /// Makes replica `id` silent for the whole run: it never starts,
+    /// sends nothing, and drops everything it receives (a crashed
+    /// replica). The run then ends when every *other* replica applied
+    /// `target_len` entries, and the outcome's consistency checks skip
+    /// it.
+    pub fn silent(mut self, id: ReplicaId) -> Self {
+        self.silent.insert(id);
+        self
+    }
+
+    /// Runs the cluster until every non-silent replica applied
+    /// `target_len` entries.
     ///
     /// The target must not exceed the workload queued at the replica
-    /// that leads view 1 (replica 0): slots with nothing pending decide
-    /// *empty* batches, which keep the pipeline moving but never grow
-    /// the log, and in a healthy run no other replica's queue is ever
-    /// proposed — an over-sized target burns the whole event budget
+    /// that leads the cluster (replica 0, or the next live replica when
+    /// the leaders before it are [`silent`](Self::silent)): slots with
+    /// nothing pending decide *empty* batches, which keep the pipeline
+    /// moving but never grow the log, and no other replica's queue is
+    /// ever proposed — an over-sized target burns the whole event budget
     /// without completing.
     pub fn run(self) -> SmrOutcome<S> {
         let cfg: SharedConfig = Arc::new(
@@ -132,9 +146,16 @@ impl<S: StateMachine> SmrBuilder<S> {
             ));
         }
 
-        let n = self.n;
+        for id in &self.silent {
+            sim.crash(ProcessId(id.index()));
+        }
+        let live: Vec<ProcessId> = (0..self.n)
+            .filter(|&i| !self.silent.contains(&ReplicaId::from(i)))
+            .map(ProcessId)
+            .collect();
+        let watched = live.clone();
         let all_done =
-            move |s: &Simulation<SmrNode<S>>| (0..n).all(|i| s.process(ProcessId(i)).done());
+            move |s: &Simulation<SmrNode<S>>| watched.iter().all(|&p| s.process(p).done());
         let run_outcome = sim.run_until_condition(all_done, self.max_events);
 
         let logs: Vec<Vec<Entry<S::Op>>> = (0..self.n)
@@ -159,9 +180,10 @@ impl<S: StateMachine> SmrBuilder<S> {
             .map(|i| sim.process(ProcessId(i)).checkpoint_stats())
             .collect();
 
-        // Throughput is measured at replica 0: all correct replicas apply
-        // the same slots, so its view is representative of the run.
-        let node0 = sim.process(ProcessId(0));
+        // Throughput is measured at the first live replica: all correct
+        // replicas apply the same slots, so its view is representative of
+        // the run.
+        let node0 = sim.process(live.first().copied().unwrap_or(ProcessId(0)));
         let throughput = ThroughputStats {
             commands: node0.total_log_len(),
             slots_opened: node0.slots_opened(),
@@ -177,6 +199,7 @@ impl<S: StateMachine> SmrBuilder<S> {
             log_offsets,
             log_digests,
             checkpoints,
+            silent: self.silent,
             metrics: sim.metrics().clone(),
             throughput,
             finished_at: sim.now(),
@@ -217,6 +240,9 @@ pub struct SmrOutcome<S: StateMachine = KvStore> {
     pub log_digests: Vec<Digest>,
     /// Per-replica checkpoint / truncation / transfer counters.
     pub checkpoints: Vec<CheckpointStats>,
+    /// Replicas that were silent for the run; the consistency checks
+    /// skip them.
+    pub silent: BTreeSet<ReplicaId>,
     /// Message metrics.
     pub metrics: MessageMetrics,
     /// Commands/slots/ticks throughput accounting (measured at replica 0).
@@ -237,25 +263,38 @@ impl<S: StateMachine> SmrOutcome<S> {
             .collect()
     }
 
-    /// Whether all replicas hold the identical logical log. Compared via
-    /// total length plus the running SHA-256 entry chain, so replicas
-    /// that truncated different prefixes behind stable checkpoints still
-    /// compare over their *full* histories, not just the resident
-    /// suffixes.
+    /// The entries of a per-replica vector that belong to non-silent
+    /// replicas.
+    fn live<'a, T>(&self, items: &'a [T]) -> Vec<&'a T> {
+        items
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !self.silent.contains(&ReplicaId::from(*i)))
+            .map(|(_, item)| item)
+            .collect()
+    }
+
+    /// Whether all non-silent replicas hold the identical logical log.
+    /// Compared via total length plus the running SHA-256 entry chain, so
+    /// replicas that truncated different prefixes behind stable
+    /// checkpoints still compare over their *full* histories, not just
+    /// the resident suffixes.
     pub fn logs_consistent(&self) -> bool {
-        all_adjacent_equal(&self.total_log_lens()) && all_adjacent_equal(&self.log_digests)
+        all_adjacent_equal(&self.live(&self.total_log_lens()))
+            && all_adjacent_equal(&self.live(&self.log_digests))
     }
 
-    /// Whether all replicas reached identical application state.
+    /// Whether all non-silent replicas reached identical application
+    /// state.
     pub fn states_consistent(&self) -> bool {
-        all_adjacent_equal(&self.states)
+        all_adjacent_equal(&self.live(&self.states))
     }
 
-    /// Replica 0's resident log, if all logs agree (the full agreed log
-    /// when nothing was truncated).
+    /// The first non-silent replica's resident log, if all logs agree
+    /// (the full agreed log when nothing was truncated).
     pub fn agreed_log(&self) -> Option<&[Entry<S::Op>]> {
         if self.logs_consistent() {
-            self.logs.first().map(|l| l.as_slice())
+            self.live(&self.logs).first().map(|l| l.as_slice())
         } else {
             None
         }

@@ -21,6 +21,13 @@
 //! *pure orchestration*, so any fix to the consensus core is inherited
 //! here.
 //!
+//! All slots share one *cluster view* ([`SmrNode::cluster_view`]): a
+//! fresh slot opens directly in the view the cluster last worked in, so a
+//! crashed leader costs the cluster one view change, not one per slot. A
+//! replica that fell behind asks its peers for what it missed: the stable
+//! checkpoint, plus their retained signed messages for the slots above it
+//! (see DESIGN.md, "Cluster view and laggard catch-up").
+//!
 //! Applying an entry yields the machine's typed
 //! [`Response`](StateMachine::Response), which is recorded per client (the
 //! reply cache behind at-most-once retries) and surfaced through
@@ -32,7 +39,7 @@ use crate::checkpoint::{
 };
 use crate::machine::{Batch, Entry, OpKind, RequestId, StateMachine, MAX_BATCH};
 use probft_core::config::{SharedConfig, View};
-use probft_core::message::Message;
+use probft_core::message::{Message, VerifyCtx};
 use probft_core::replica::Replica;
 use probft_core::value::Value;
 use probft_core::wire::{put, Reader, Wire, WireError};
@@ -43,9 +50,10 @@ use probft_obs::{Counter, Obs, TraceKind};
 use probft_quorum::ReplicaId;
 use probft_simnet::metrics::Measurable;
 use probft_simnet::process::{Action, Context, Process, ProcessId, TimerToken};
+use probft_simnet::time::SimTime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -239,6 +247,12 @@ pub const FALLBACK_FUTURE_WINDOW_DEPTHS: u64 = 4;
 /// disabled.
 pub const FALLBACK_MIN_FUTURE_WINDOW: u64 = 16;
 
+/// Most own messages a node retains per slot for retransmission. An
+/// honest replica signs at most one Propose, Prepare and Commit per view,
+/// so this keeps the last few views of a slot; older ones are evicted
+/// first.
+const MAX_RETAINED_PER_SLOT: usize = 9;
+
 /// Most distinct checkpoint slots a node tracks attestations for. Honest
 /// clusters have votes in flight for one or two boundaries; a Byzantine
 /// peer spraying far-future checkpoint slots (each costing it one signed
@@ -316,16 +330,27 @@ pub struct SmrNode<S: StateMachine> {
     /// The next slot index to open (slots `next_apply..next_open` are in
     /// flight).
     next_open: u64,
-    /// The view in which the most recently *applied* slot decided.
-    /// Survives slot pruning, so an *idle* node still remembers which
-    /// view the cluster last worked in — the leader hint handed to
-    /// redirected clients points at that view's leader instead of
-    /// falling back to the (possibly long-dead) view-1 leader. Tracking
-    /// the *deciding* view (not the highest view ever entered) makes the
-    /// hint self-healing: one transient view change does not pin the
-    /// hint on a replica that keeps losing fresh slots to the live
-    /// view-1 leader, because the next view-1 decision lowers it back.
-    last_decided_view: View,
+    /// The cluster view: the view every fresh slot opens in, and whose
+    /// leader redirected clients are pointed at. Monotone. It rises to
+    /// the view of every applied decision and, by the f+1 rule, to any
+    /// view that `f + 1` distinct peers were seen working in; undecided
+    /// resident slots then move into it.
+    cluster_view: View,
+    /// Per peer: the highest view of a verified Propose, Prepare, Commit
+    /// or NewLeader it signed. Feeds the f+1 rule. Bounded by `n`.
+    peer_views: BTreeMap<ReplicaId, View>,
+    /// This node's own signed Propose, Prepare and Commit messages per
+    /// slot, kept to answer a laggard's [`StateRequest`]. Only slots at or
+    /// above the stable checkpoint and at most one future window below
+    /// the apply frontier are kept, each with at most
+    /// [`MAX_RETAINED_PER_SLOT`] messages.
+    retained: BTreeMap<u64, Vec<Message>>,
+    /// `(slot, peer)` pairs already answered from `retained`: each peer
+    /// gets a slot's messages at most once. Pruned with `retained`.
+    resent: BTreeSet<(u64, u32)>,
+    /// The apply frontier this node last asked its peers to fill, and
+    /// when: at most one ask per base timeout for the same frontier.
+    last_catch_up: Option<(u64, SimTime)>,
     /// Outer timer token → (slot, inner token). Tokens are allocated from
     /// a counter, so concurrent slots can never collide regardless of how
     /// large the inner (view-carrying) tokens grow.
@@ -418,7 +443,11 @@ impl<S: StateMachine> SmrNode<S> {
             dropped_messages: 0,
             next_apply: 0,
             next_open: 0,
-            last_decided_view: View::FIRST,
+            cluster_view: View::FIRST,
+            peer_views: BTreeMap::new(),
+            retained: BTreeMap::new(),
+            resent: BTreeSet::new(),
+            last_catch_up: None,
             timers: BTreeMap::new(),
             next_timer: 0,
             log: Vec::new(),
@@ -434,7 +463,11 @@ impl<S: StateMachine> SmrNode<S> {
             applied_requests: BTreeMap::new(),
             applied_events: Vec::new(),
             max_batch_proposed: 0,
-            obs: Arc::new(Obs::new(format!("replica-{}", id.0))),
+            obs: {
+                let obs = Obs::new(format!("replica-{}", id.0));
+                obs.note_view(View::FIRST.0);
+                Arc::new(obs)
+            },
             opened_at: BTreeMap::new(),
             last_checkpoint_at: None,
             transfer_started_at: None,
@@ -525,6 +558,7 @@ impl<S: StateMachine> SmrNode<S> {
     /// created up front so fault injection and shutdown aggregation share
     /// the registry and journal this node records into.
     pub fn set_obs(&mut self, obs: Arc<Obs>) {
+        obs.note_view(self.cluster_view.0);
         self.obs = obs;
     }
 
@@ -563,25 +597,14 @@ impl<S: StateMachine> SmrNode<S> {
     }
 
     /// The replica this node believes currently leads the cluster: the
-    /// leader of the lowest in-flight slot's view, or — when no slot is
-    /// in flight — of the view the most recently applied slot decided in
-    /// (so an idle cluster whose leader crashed and was voted out keeps
-    /// pointing clients at the *new* leader, not the view-1 fallback).
-    /// Clients are redirected here.
+    /// leader of the cluster view. Clients are redirected here.
     pub fn current_leader(&self) -> ReplicaId {
-        let view = self
-            .slots
-            .values()
-            .next()
-            .map(|r| r.current_view())
-            .unwrap_or(self.last_decided_view);
-        self.cfg.leader_of(view)
+        self.cfg.leader_of(self.cluster_view)
     }
 
-    /// The view in which the most recently applied slot decided
-    /// (retained across slot pruning).
-    pub fn last_decided_view(&self) -> View {
-        self.last_decided_view
+    /// The cluster view: the view fresh slots open in.
+    pub fn cluster_view(&self) -> View {
+        self.cluster_view
     }
 
     /// Whether `request` has already been applied to the state machine
@@ -628,14 +651,14 @@ impl<S: StateMachine> SmrNode<S> {
     }
 
     /// Opens one slot on an otherwise idle node (lazy mode only) — the
-    /// follower-initiated probe behind the never-view-changed
-    /// idle-leader-crash case. A follower that keeps being contacted by
-    /// clients while the leader it redirects them to stays silent calls
-    /// this: the probe slot's view-1 leader times out, the view-change
-    /// machinery runs, and the next decision repoints every redirect hint
-    /// at the live leader. Proposes whatever is pending locally (usually
-    /// an empty batch), so a spurious probe costs one empty slot, never
-    /// safety.
+    /// follower-initiated probe behind the idle-leader-crash case: with no
+    /// slot in flight, no view timer runs that could notice the crash. A
+    /// follower that keeps being contacted by clients while the leader it
+    /// redirects them to stays silent calls this: the probe slot's leader
+    /// times out, the view-change machinery runs, and the next decision
+    /// raises the cluster view past the dead leader. Proposes whatever is
+    /// pending locally (usually an empty batch), so a spurious probe costs
+    /// one empty slot, never safety.
     pub fn probe_open(&mut self, ctx: &mut Context<'_, SmrMessage>) -> bool {
         if !self.settings.lazy_open || !self.slots.is_empty() || self.next_open > self.next_apply {
             return false;
@@ -697,16 +720,27 @@ impl<S: StateMachine> SmrNode<S> {
     }
 
     /// Opens every slot the pipeline window allows. In lazy (live) mode a
-    /// slot is only opened while entries are pending locally — peers
-    /// instead open slots on demand when traffic for them arrives.
+    /// slot is only opened while entries are pending locally or peer
+    /// traffic for it (or a later slot) was buffered — peers otherwise
+    /// open slots on demand when traffic for them arrives.
     fn open_ready_slots(&mut self, ctx: &mut Context<'_, SmrMessage>) {
-        while self.total_log_len() < self.settings.target_len as u64
-            && self.next_open
-                < self
-                    .next_apply
-                    .saturating_add(self.settings.pipeline_depth as u64)
-        {
-            if self.settings.lazy_open && self.pending.is_empty() {
+        loop {
+            let open_horizon = self
+                .next_apply
+                .saturating_add(self.settings.pipeline_depth as u64);
+            if self.total_log_len() >= self.settings.target_len as u64
+                || self.next_open >= open_horizon
+            {
+                break;
+            }
+            if self.settings.lazy_open
+                && self.pending.is_empty()
+                && self
+                    .future
+                    .range(self.next_open..open_horizon)
+                    .next()
+                    .is_none()
+            {
                 break;
             }
             let slot = self.next_open;
@@ -715,14 +749,12 @@ impl<S: StateMachine> SmrNode<S> {
         }
     }
 
-    /// Opens slot `slot` and runs its `on_start`.
+    /// Opens slot `slot` in the cluster view and runs its `on_start`.
     fn open_slot(&mut self, slot: u64, ctx: &mut Context<'_, SmrMessage>) {
+        let view = self.cluster_view;
         let (value, batched) = self.next_value();
         self.opened_at.insert(slot, self.obs.now_micros());
-        self.obs.trace(TraceKind::SlotOpened {
-            slot,
-            view: View::FIRST.0,
-        });
+        self.obs.trace(TraceKind::SlotOpened { slot, view: view.0 });
         if batched > 0 {
             self.obs.trace(TraceKind::BatchFormed {
                 slot,
@@ -735,13 +767,36 @@ impl<S: StateMachine> SmrNode<S> {
             self.sk.clone(),
             self.keys.clone(),
             value,
-        );
+        )
+        .starting_in(view);
         let actions = {
             let mut inner = Context::detached(ProcessId(self.id.index()), ctx.now(), &mut self.rng);
             replica.on_start(&mut inner);
             inner.drain_actions()
         };
         self.slots.insert(slot, replica);
+        // Past view 1 the slot starts with Algorithm 1's line 5: everyone
+        // sends a NewLeader to the leader. The leader also sends its own
+        // to every peer, which is what tells a follower the slot exists:
+        // it opens the slot and answers with its NewLeader.
+        if view > View::FIRST && self.cfg.leader_of(view) == self.id {
+            let announce = actions.iter().find_map(|action| match action {
+                Action::Send {
+                    msg: msg @ Message::NewLeader(_),
+                    ..
+                } => Some(msg.clone()),
+                _ => None,
+            });
+            if let Some(inner) = announce {
+                for peer in self.cfg.all_replicas().filter(|&p| p != self.id) {
+                    let inner = inner.clone();
+                    ctx.send(
+                        ProcessId(peer.index()),
+                        SmrMessage::Slot(SlotMessage { slot, inner }),
+                    );
+                }
+            }
+        }
         self.relay(slot, actions, ctx);
 
         // Replay any buffered traffic for this slot.
@@ -762,6 +817,7 @@ impl<S: StateMachine> SmrNode<S> {
         for action in actions {
             match action {
                 Action::Send { to, msg } => {
+                    self.retain(slot, &msg);
                     ctx.send(to, SmrMessage::Slot(SlotMessage { slot, inner: msg }))
                 }
                 Action::SetTimer { delay, token } => {
@@ -773,6 +829,39 @@ impl<S: StateMachine> SmrNode<S> {
                 Action::Halt => {}
             }
         }
+    }
+
+    /// Keeps a copy of this node's own signed Propose, Prepare or Commit
+    /// for `slot` (once per kind and view; a multicast relays the same
+    /// message to every recipient) for retransmission to laggards.
+    fn retain(&mut self, slot: u64, msg: &Message) {
+        if matches!(msg, Message::NewLeader(_) | Message::Wish(_)) || msg.signer() != self.id {
+            return;
+        }
+        let kept = self.retained.entry(slot).or_default();
+        let kind = std::mem::discriminant(msg);
+        if kept
+            .iter()
+            .any(|m| std::mem::discriminant(m) == kind && m.view() == msg.view())
+        {
+            return;
+        }
+        if kept.len() >= MAX_RETAINED_PER_SLOT {
+            kept.remove(0);
+        }
+        kept.push(msg.clone());
+    }
+
+    /// Drops retained messages (and their resend marks) for slots below
+    /// the stable checkpoint or more than one future window behind the
+    /// apply frontier.
+    fn prune_retained(&mut self) {
+        let floor = self.stable_slot().max(
+            self.next_apply
+                .saturating_sub(self.settings.future_window()),
+        );
+        self.retained = self.retained.split_off(&floor);
+        self.resent = self.resent.split_off(&(floor, 0));
     }
 
     /// Feeds one event into a slot replica and handles a resulting
@@ -796,6 +885,7 @@ impl<S: StateMachine> SmrNode<S> {
                     replica.on_message(from, msg, &mut inner);
                 }
                 DispatchEvent::Timer(token) => replica.on_timer(token, &mut inner),
+                DispatchEvent::Advance(view) => replica.advance_to(view, &mut inner),
             }
             inner.drain_actions()
         };
@@ -831,15 +921,7 @@ impl<S: StateMachine> SmrNode<S> {
             let Some(decision) = self.slots.get(&self.next_apply).and_then(|r| r.decision()) else {
                 break;
             };
-            // The deciding view outlives the slot: it is the leader hint
-            // handed to redirected clients while no slot is in flight.
-            if decision.view.0 > self.last_decided_view.0 {
-                self.obs.trace(TraceKind::ViewChange {
-                    from_view: self.last_decided_view.0,
-                    to_view: decision.view.0,
-                });
-            }
-            self.last_decided_view = decision.view;
+            let decided_view = decision.view;
             let batch = Batch::from_value(&decision.value).unwrap_or_default();
             let slot = self.next_apply;
             let entries = batch.0.len() as u64;
@@ -849,15 +931,18 @@ impl<S: StateMachine> SmrNode<S> {
             // The slot is applied: free its replica and message state.
             // Only the log, machine state, and checkpoints outlive a slot.
             self.slots.remove(&slot);
+            self.obs.trace(TraceKind::SlotApplied { slot, entries });
             if let Some(opened) = self.opened_at.remove(&slot) {
                 self.obs
                     .apply_latency_us
                     .record(self.obs.now_micros().saturating_sub(opened));
+                self.obs.note_progress(opened, decided_view.0);
             }
-            self.obs.trace(TraceKind::SlotApplied { slot, entries });
-            self.obs.note_progress();
             self.next_apply = self.next_apply.saturating_add(1);
+            // The view this slot decided in is where the cluster works now.
+            self.raise_cluster_view(decided_view, ctx);
             self.maybe_take_checkpoint(ctx);
+            self.prune_retained();
             self.open_ready_slots(ctx);
         }
         debug_assert!(
@@ -866,6 +951,78 @@ impl<S: StateMachine> SmrNode<S> {
             self.slots.len(),
             self.settings.pipeline_depth,
         );
+    }
+
+    /// Raises the cluster view to `view` (a no-op unless higher) and moves
+    /// every undecided resident slot still in a lower view into it.
+    fn raise_cluster_view(&mut self, view: View, ctx: &mut Context<'_, SmrMessage>) {
+        if view <= self.cluster_view {
+            return;
+        }
+        self.obs.trace(TraceKind::ViewChange {
+            from_view: self.cluster_view.0,
+            to_view: view.0,
+        });
+        self.cluster_view = view;
+        self.obs.note_view(view.0);
+        let behind: Vec<u64> = self
+            .slots
+            .iter()
+            .filter(|(_, r)| r.decision().is_none() && r.current_view() < view)
+            .map(|(&slot, _)| slot)
+            .collect();
+        for slot in behind {
+            self.dispatch(slot, None, DispatchEvent::Advance(view), ctx);
+        }
+    }
+
+    /// The f+1 rule: records the view of a verified Propose, Prepare,
+    /// Commit or NewLeader signed by a peer, and raises the cluster view
+    /// to the highest view that `f + 1` distinct peers reached. At least
+    /// one of them is correct, so some correct replica really works in
+    /// that view, which is the synchronizer's amplification argument.
+    /// Only messages above the cluster view from a peer not yet known to
+    /// be that far are verified here, so the steady state pays nothing.
+    fn note_peer_view(&mut self, msg: &Message, ctx: &mut Context<'_, SmrMessage>) {
+        let view = msg.view();
+        let signer = msg.signer();
+        if view <= self.cluster_view
+            || matches!(msg, Message::Wish(_))
+            || signer == self.id
+            || signer.index() >= self.cfg.n()
+            || self.peer_views.get(&signer).is_some_and(|&v| v >= view)
+            || msg.verify(&VerifyCtx::new(&self.cfg, &self.keys)).is_err()
+        {
+            return;
+        }
+        self.peer_views.insert(signer, view);
+        let mut views: Vec<View> = self.peer_views.values().copied().collect();
+        views.sort_unstable_by(|a, b| b.cmp(a));
+        if let Some(&reached) = views.get(self.cfg.faults()) {
+            self.raise_cluster_view(reached, ctx);
+        }
+    }
+
+    /// Asks every peer for what this node missed from its apply frontier
+    /// on: a stable checkpoint above it, and their retained messages for
+    /// the slots from it. At most once per base timeout for the same
+    /// frontier. Called when an undecided slot's view timer fires, after
+    /// a snapshot install, and by the runtime when it resumes a paused
+    /// replica.
+    pub fn catch_up(&mut self, ctx: &mut Context<'_, SmrMessage>) {
+        let now = ctx.now();
+        if let Some((slot, at)) = self.last_catch_up {
+            if slot == self.next_apply && now < at.saturating_add(self.cfg.base_timeout()) {
+                return;
+            }
+        }
+        self.last_catch_up = Some((self.next_apply, now));
+        let req = StateRequest {
+            min_slot: self.next_apply,
+        };
+        for peer in self.cfg.all_replicas().filter(|&p| p != self.id) {
+            ctx.send(ProcessId(peer.index()), SmrMessage::StateRequest(req));
+        }
     }
 
     /// Applies one decided entry to the log and — unless it is a
@@ -1041,7 +1198,7 @@ impl<S: StateMachine> SmrNode<S> {
     /// checkpoint is stable: adopt-and-truncate if we have applied that
     /// far, or request a snapshot transfer if it is beyond the pipeline
     /// window (consensus cannot recover those slots — peers prune decided
-    /// slot state on apply and never retransmit).
+    /// slot state on apply).
     fn check_stability(&mut self, slot: u64, ctx: &mut Context<'_, SmrMessage>) {
         let quorum = self.cfg.deterministic_quorum();
         let Some(slot_votes) = self.votes.get(&slot) else {
@@ -1082,11 +1239,11 @@ impl<S: StateMachine> SmrNode<S> {
                         .collect()
                 })
                 .unwrap_or_default();
+            let req = StateRequest {
+                min_slot: self.next_apply,
+            };
             for voter in voters {
-                ctx.send(
-                    ProcessId(voter.index()),
-                    SmrMessage::StateRequest(StateRequest { min_slot: slot }),
-                );
+                ctx.send(ProcessId(voter.index()), SmrMessage::StateRequest(req));
             }
         }
         // Otherwise the slot is inside the pipeline window: in-flight
@@ -1145,14 +1302,17 @@ impl<S: StateMachine> SmrNode<S> {
         if self.transfer_wanted.is_some_and(|(s, _)| s <= slot) {
             self.transfer_wanted = None;
         }
+        self.prune_retained();
     }
 
-    /// Serves a laggard's [`StateRequest`] from the stable checkpoint —
-    /// at most once per peer per stable checkpoint. The cap is what keeps
-    /// the unauthenticated request harmless: `from` is only as trusted as
-    /// the connection that carried it, so without the cap a forger could
-    /// reflect unbounded snapshot-sized replies at a third replica. A
-    /// genuine laggard whose one reply is lost retries via the next
+    /// Serves a laggard's [`StateRequest`]: the stable checkpoint if it
+    /// lies above the requester's frontier — at most once per peer per
+    /// stable checkpoint — and this node's retained messages for the
+    /// slots from the frontier, at most once per peer per slot. The caps
+    /// are what keep the unauthenticated request harmless: `from` is only
+    /// as trusted as the connection that carried it, so without them a
+    /// forger could reflect unbounded replies at a third replica. A
+    /// genuine laggard whose snapshot is lost retries via the next
     /// boundary's quorum (a *new* stable slot, which re-arms the cap).
     fn handle_state_request(
         &mut self,
@@ -1160,13 +1320,32 @@ impl<S: StateMachine> SmrNode<S> {
         req: StateRequest,
         ctx: &mut Context<'_, SmrMessage>,
     ) {
-        let Some(stable) = &self.stable else {
-            return;
-        };
-        if stable.slot < req.min_slot {
+        if from.index() >= self.cfg.n() || from.index() == self.id.index() {
             return;
         }
-        self.send_checkpoint(from, ctx);
+        if self.stable.as_ref().is_some_and(|s| s.slot > req.min_slot) {
+            self.send_checkpoint(from, ctx);
+        }
+        // Retransmission: the original signed messages, so the laggard's
+        // slot replicas verify and count them exactly as if they had
+        // arrived the first time.
+        let peer = ReplicaId::from(from.index());
+        let until = req.min_slot.saturating_add(self.settings.future_window());
+        for (&slot, msgs) in self.retained.range(req.min_slot..until) {
+            if !self.resent.insert((slot, peer.0)) {
+                continue;
+            }
+            for msg in msgs {
+                let addressed = match msg {
+                    Message::Prepare(m) | Message::Commit(m) => m.includes(peer),
+                    _ => true,
+                };
+                if addressed {
+                    let inner = msg.clone();
+                    ctx.send(from, SmrMessage::Slot(SlotMessage { slot, inner }));
+                }
+            }
+        }
     }
 
     /// Sends the stable checkpoint (snapshot + certificate) to `to`,
@@ -1227,16 +1406,9 @@ impl<S: StateMachine> SmrNode<S> {
             self.note_dropped(self.obs.drops_invalid_checkpoint.clone());
             return;
         }
-        // Mirror the request condition: a transfer is only *useful* (and
-        // only ever requested or pushed) for a checkpoint beyond the
-        // pipeline window. A replayed-but-genuine reply for an in-window
-        // slot must not wipe live in-flight consensus state — those
-        // slots' traffic was already consumed and peers never retransmit.
-        if rep.slot
-            <= self
-                .next_apply
-                .saturating_add(self.settings.pipeline_depth as u64)
-        {
+        // Only a checkpoint above the apply frontier moves this node
+        // forward; anything else is a replayed or duplicate reply.
+        if rep.slot <= self.next_apply {
             return;
         }
         let digest = Snapshot::<S>::digest(&rep.snapshot);
@@ -1277,11 +1449,13 @@ impl<S: StateMachine> SmrNode<S> {
 
     /// Jumps the node to a verified checkpoint: replicated state, reply
     /// cache, and log bookkeeping come from the snapshot; every in-flight
-    /// slot below it is obsolete and dropped. Consensus resumes from the
-    /// checkpoint slot — transferred entries produce no
-    /// [`drain_applied`](Self::drain_applied) events (their clients were
-    /// answered by the replicas that applied them; the restored reply
-    /// cache still answers retries).
+    /// slot below it is obsolete and dropped, while in-flight slots at or
+    /// above it keep their consensus state (and the votes already cast
+    /// there). Consensus resumes from the checkpoint slot — transferred
+    /// entries produce no [`drain_applied`](Self::drain_applied) events
+    /// (their clients were answered by the replicas that applied them;
+    /// the restored reply cache still answers retries). The node then
+    /// asks its peers for the slots above the checkpoint.
     fn restore_from(
         &mut self,
         snapshot: Snapshot<S>,
@@ -1292,16 +1466,17 @@ impl<S: StateMachine> SmrNode<S> {
         let transferred_bytes = rep.snapshot.len() as u64;
         self.state = snapshot.state;
         self.applied_requests = snapshot.replies;
-        // `last_decided_view` is deliberately NOT in the snapshot (it is a
+        // The cluster view is deliberately NOT in the snapshot (it is a
         // replica-local observation, not agreed state): the restored node
-        // keeps its own hint, which self-heals at its next applied
-        // decision.
-        self.next_apply = snapshot.slot;
-        self.next_open = snapshot.slot;
-        self.slots.clear();
-        self.opened_at.clear();
-        self.timers.clear();
-        self.future.retain(|&s, _| s >= snapshot.slot);
+        // keeps its own, which the f+1 rule raises as peer traffic
+        // arrives.
+        let from = snapshot.slot;
+        self.next_apply = from;
+        self.next_open = self.next_open.max(from);
+        self.slots = self.slots.split_off(&from);
+        self.opened_at = self.opened_at.split_off(&from);
+        self.timers.retain(|_, (slot, _)| *slot >= from);
+        self.future.retain(|&s, _| s >= from);
         self.log.clear();
         self.log_offset = snapshot.log_len;
         self.log_digest = snapshot.log_digest;
@@ -1331,10 +1506,14 @@ impl<S: StateMachine> SmrNode<S> {
             certificate: rep.certificate,
         });
         self.transfer_wanted = None;
-        // Rejoin the pipeline immediately: pending local entries (and, in
-        // lazy mode, subsequent peer traffic) open slots from the
-        // checkpoint onward.
+        self.prune_retained();
+        // Rejoin the pipeline immediately: a kept slot may already have
+        // decided, pending local entries (and, in lazy mode, subsequent
+        // peer traffic) open slots from the checkpoint onward, and peers
+        // fill in the slots they already decided above it.
+        self.advance(ctx);
         self.open_ready_slots(ctx);
+        self.catch_up(ctx);
     }
 }
 
@@ -1346,6 +1525,8 @@ fn log_genesis() -> Digest {
 enum DispatchEvent {
     Message(Message),
     Timer(TimerToken),
+    /// Move the slot into a higher view (the cluster view rose).
+    Advance(View),
 }
 
 impl<S: StateMachine> SmrNode<S> {
@@ -1359,6 +1540,7 @@ impl<S: StateMachine> SmrNode<S> {
         ctx: &mut Context<'_, SmrMessage>,
     ) {
         let slot = msg.slot;
+        self.note_peer_view(&msg.inner, ctx);
         if self.slots.contains_key(&slot) {
             self.dispatch(slot, Some(from), DispatchEvent::Message(msg.inner), ctx);
             return;
@@ -1443,7 +1625,17 @@ impl<S: StateMachine> Process for SmrNode<S> {
         // Timers fire once; forgetting the mapping afterwards keeps the
         // table bounded by the number of outstanding timers.
         if let Some((slot, inner)) = self.timers.remove(&token.0) {
+            // A live (not stale) view timer of an undecided slot: the
+            // slot is stuck, possibly because this node missed messages
+            // the rest of the cluster already acted on.
+            let stuck = self
+                .slots
+                .get(&slot)
+                .is_some_and(|r| r.decision().is_none() && r.current_view().0 == inner.0);
             self.dispatch(slot, None, DispatchEvent::Timer(inner), ctx);
+            if stuck {
+                self.catch_up(ctx);
+            }
         }
     }
 }
@@ -1573,7 +1765,7 @@ mod tests {
         assert_eq!(node.dropped_messages(), 0);
         assert_eq!(node.pending_len(), 0);
         assert_eq!(node.current_leader(), ReplicaId(0));
-        assert_eq!(node.last_decided_view(), View::FIRST);
+        assert_eq!(node.cluster_view(), View::FIRST);
     }
 
     /// The reply cache: applying a tagged entry records its response;
@@ -1993,6 +2185,69 @@ mod tests {
         assert_eq!(laggard.log_digest(), cluster[0].0.log_digest());
     }
 
+    /// A checkpoint just above the apply frontier (inside the pipeline
+    /// window) is installed, and a resident slot at or above it keeps its
+    /// consensus state: a slot replica that may already have voted must
+    /// not be opened afresh, or it could vote twice in one view.
+    #[test]
+    fn install_inside_the_window_keeps_slots_at_or_above_the_checkpoint() {
+        let (mut donor, mut donor_rng) = checkpoint_node(0, 4, 4);
+        apply_slots(&mut donor, &mut donor_rng, 0, 4);
+        let own = donor.own_checkpoints.get(&4).expect("own");
+        let keyring = Keyring::generate(4, b"node-tests");
+        let rep = StateReply {
+            slot: 4,
+            snapshot: own.bytes.clone(),
+            certificate: (0..3)
+                .map(|i| {
+                    CheckpointVote::sign(
+                        keyring.signing_key(i).expect("in range"),
+                        ReplicaId::from(i),
+                        4,
+                        own.digest,
+                    )
+                })
+                .collect(),
+        };
+
+        // The laggard applied slots 0 and 1, then peer traffic for slot 4
+        // opened slots 2, 3 and 4.
+        let (mut laggard, mut rng) = checkpoint_node(3, 4, 4);
+        apply_slots(&mut laggard, &mut rng, 0, 2);
+        let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO, &mut rng);
+        laggard.on_message(
+            ProcessId(1),
+            new_leader_from(b"node-tests", 1, 1, 4),
+            &mut ctx,
+        );
+        assert_eq!(laggard.resident_slots(), 3);
+
+        let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO, &mut rng);
+        laggard.on_message(ProcessId(0), SmrMessage::StateReply(rep), &mut ctx);
+        assert_eq!(laggard.slots_applied(), 4, "installed inside the window");
+        assert_eq!(laggard.state(), donor.state());
+        assert_eq!(
+            laggard.slots.keys().copied().collect::<Vec<_>>(),
+            vec![4],
+            "slots below the checkpoint dropped, slot 4 kept"
+        );
+        // The install asks every peer for the slots above the checkpoint.
+        let asks = ctx
+            .drain_actions()
+            .into_iter()
+            .filter(|a| {
+                matches!(
+                    a,
+                    Action::Send {
+                        msg: SmrMessage::StateRequest(StateRequest { min_slot: 4 }),
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert_eq!(asks, 3);
+    }
+
     /// Unsigned or forged checkpoint votes never count toward a quorum.
     #[test]
     fn forged_checkpoint_votes_are_dropped() {
@@ -2033,6 +2288,133 @@ mod tests {
         let mut deep = SmrSettings::live(16, 1);
         deep.checkpoint_interval = 8;
         assert_eq!(deep.future_window(), 32);
+    }
+
+    /// A peer's signed NewLeader for `view` with nothing prepared, tagged
+    /// with `slot`; `keyring_seed` other than the cluster's forges it.
+    fn new_leader_from(keyring_seed: &[u8], peer: usize, view: u64, slot: u64) -> SmrMessage {
+        let keyring = Keyring::generate(4, keyring_seed);
+        let nl = probft_core::message::NewLeader::sign(
+            keyring.signing_key(peer).expect("in range"),
+            ReplicaId::from(peer),
+            View(view),
+            View::NONE,
+            None,
+            Vec::new(),
+        );
+        SmrMessage::Slot(SlotMessage {
+            slot,
+            inner: Message::NewLeader(nl),
+        })
+    }
+
+    /// The f+1 rule (f = 1 at n = 4): one peer seen in view 3 is not
+    /// enough, forged and Wish traffic never counts, and a second verified
+    /// peer raises the cluster view and moves the undecided resident slot
+    /// into it.
+    #[test]
+    fn cluster_view_rises_on_f_plus_one_verified_peers() {
+        let (mut node, mut rng) = checkpoint_node(0, 0, 4);
+        let mut deliver = |node: &mut SmrNode<KvStore>, from: usize, msg: SmrMessage| {
+            let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO, &mut rng);
+            node.on_message(ProcessId(from), msg, &mut ctx);
+        };
+        deliver(&mut node, 1, new_leader_from(b"node-tests", 1, 3, 0));
+        assert_eq!(node.resident_slots(), 1, "peer traffic opened slot 0");
+        assert_eq!(node.cluster_view(), View::FIRST, "one peer is not f+1");
+        deliver(&mut node, 2, new_leader_from(b"imposter", 2, 3, 0));
+        assert_eq!(node.cluster_view(), View::FIRST, "forged views never count");
+        let wish = Wish::sign(
+            Keyring::generate(4, b"node-tests")
+                .signing_key(2)
+                .expect("in range"),
+            ReplicaId(2),
+            View(5),
+        );
+        let wish = SmrMessage::Slot(SlotMessage {
+            slot: 0,
+            inner: Message::Wish(wish),
+        });
+        deliver(&mut node, 2, wish);
+        assert_eq!(node.cluster_view(), View::FIRST, "a wish is not a view");
+        deliver(&mut node, 2, new_leader_from(b"node-tests", 2, 3, 0));
+        assert_eq!(node.cluster_view(), View(3));
+        assert_eq!(node.current_leader(), ReplicaId(2), "leader(3)");
+        assert_eq!(
+            node.slots.get(&0).map(Replica::current_view),
+            Some(View(3)),
+            "the undecided slot moved into the cluster view"
+        );
+    }
+
+    /// A fresh slot opens in the cluster view; its leader announces it by
+    /// sending its NewLeader to every peer (and, per line 5, itself).
+    #[test]
+    fn leader_announces_a_slot_opened_in_a_later_view() {
+        let (mut node, mut rng) = checkpoint_node(1, 0, 4);
+        node.cluster_view = View(2); // leader(2) = replica 1
+        let mut ctx = Context::detached(ProcessId(1), SimTime::ZERO, &mut rng);
+        node.submit(Entry::write(Command::Get { key: "k".into() }), &mut ctx);
+        let mut to: Vec<usize> = ctx
+            .drain_actions()
+            .into_iter()
+            .filter_map(|a| match a {
+                Action::Send {
+                    to,
+                    msg:
+                        SmrMessage::Slot(SlotMessage {
+                            inner: Message::NewLeader(nl),
+                            ..
+                        }),
+                } if nl.view == View(2) => Some(to.index()),
+                _ => None,
+            })
+            .collect();
+        to.sort_unstable();
+        assert_eq!(to, vec![0, 1, 2, 3]);
+        assert_eq!(node.slots.get(&0).map(Replica::current_view), Some(View(2)));
+    }
+
+    /// Retransmission answers a laggard's request with this node's own
+    /// retained messages for the slots from its frontier, once per peer
+    /// and slot, and never without a request.
+    #[test]
+    fn state_request_resends_retained_messages_once_per_peer_and_slot() {
+        let (mut node, mut rng) = checkpoint_node(0, 0, 4);
+        let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO, &mut rng);
+        node.submit(Entry::write(Command::Get { key: "k".into() }), &mut ctx);
+        ctx.drain_actions();
+        let mut ask = |node: &mut SmrNode<KvStore>, from: usize, min_slot: u64| {
+            let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO, &mut rng);
+            node.on_message(
+                ProcessId(from),
+                SmrMessage::StateRequest(StateRequest { min_slot }),
+                &mut ctx,
+            );
+            ctx.drain_actions()
+                .into_iter()
+                .filter_map(|a| match a {
+                    Action::Send {
+                        to,
+                        msg: SmrMessage::Slot(m),
+                    } => Some((to.index(), m)),
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        let resent = ask(&mut node, 3, 0);
+        assert!(
+            resent
+                .iter()
+                .any(|(to, m)| *to == 3 && m.slot == 0 && matches!(m.inner, Message::Propose(_))),
+            "the view-1 leader's retained Propose goes back to the laggard: {resent:?}"
+        );
+        assert!(ask(&mut node, 3, 0).is_empty(), "once per peer and slot");
+        assert!(!ask(&mut node, 2, 0).is_empty(), "another peer is served");
+        assert!(
+            ask(&mut node, 1, 1).is_empty(),
+            "nothing retained above slot 0"
+        );
     }
 
     /// The probe opens exactly one slot, only on an idle lazy node — the

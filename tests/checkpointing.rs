@@ -238,3 +238,70 @@ fn follower_probe_unsticks_a_silent_idle_leader() {
     let first = live[0];
     assert!(live.iter().all(|r| r.log_digest == first.log_digest));
 }
+
+/// A follower paused while the cluster was idle misses a whole run of
+/// writes, and after the run nothing more is ordered: no slot traffic and
+/// no checkpoint vote will ever reach it again. Resumed, it must ask for
+/// what it missed by itself and converge with no further client traffic:
+/// the stable checkpoint (slot 32) comes back as a snapshot, and the
+/// slots above it (32..40) as the peers' retained signed messages, which
+/// it decides itself.
+#[test]
+fn resumed_idle_follower_converges_without_client_traffic() {
+    let n = 7; // probabilistic quorum 6 ⇒ the cluster survives one pause
+    let follower = 5;
+    let writes = 40;
+    let cluster = LiveSmrBuilder::new(n)
+        .seed(71)
+        .pipeline_depth(4)
+        .batch_size(1)
+        .checkpoint_interval(16)
+        .start()
+        .expect("cluster boots");
+
+    cluster.pause(follower);
+    let mut client = cluster.client(1);
+    for i in 0..writes {
+        client
+            .submit(put(i))
+            .expect("applies while the follower is paused");
+    }
+    assert_eq!(cluster.applied_lens()[follower], 0, "the pause held");
+
+    // The load has stopped. Resume and wait, submitting nothing.
+    cluster.resume(follower);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let lens = cluster.applied_lens();
+        if lens.iter().all(|&l| l == writes as u64) {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the resumed follower did not converge within 5 s: lens {lens:?}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    let reports = cluster.shutdown();
+    let first = &reports[0];
+    for r in &reports {
+        assert_eq!(
+            (r.total_log_len(), r.log_digest),
+            (first.total_log_len(), first.log_digest),
+            "replica {}",
+            r.id
+        );
+        assert_eq!(r.state, first.state, "replica {}", r.id);
+    }
+    let resumed = &reports[follower];
+    assert_eq!(
+        resumed.checkpoints.state_transfers, 1,
+        "the checkpoint arrived as a snapshot"
+    );
+    assert_eq!(
+        resumed.log.len(),
+        writes - 32,
+        "the slots above the checkpoint were decided locally"
+    );
+}

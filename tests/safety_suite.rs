@@ -149,3 +149,40 @@ fn later_views_carry_the_decided_value() {
     // All decisions equal the view-1 leader's value.
     assert_eq!(decided[0], Value::from_tag(0).digest());
 }
+
+/// Every replica opens the instance directly in view 3 — the way an SMR
+/// slot opens in the cluster's current view, with nothing prepared — and
+/// `leader(3)` runs the split attack, its two proposals carrying a valid
+/// quorum of honest `NewLeader` messages. Agreement must hold on every
+/// seed, and a later honest leader must still bring everyone to a
+/// decision.
+#[test]
+fn split_leader_in_a_later_start_view_never_breaks_agreement() {
+    let start = View(3);
+    let attacker = ReplicaId(2); // leader(3)
+    let mut detections = 0;
+    for seed in 0..12 {
+        let outcome = InstanceBuilder::new(N)
+            .seed(seed)
+            .start_view(start)
+            .byzantine(attacker, ByzantineStrategy::SplitLeader)
+            .run();
+        assert!(
+            outcome.agreement(),
+            "seed {seed} violated agreement: {outcome:?}"
+        );
+        assert!(
+            outcome.all_correct_decided(),
+            "seed {seed} blocked liveness: {outcome:?}"
+        );
+        assert!(
+            outcome.decided_views().iter().all(|v| *v >= start),
+            "seed {seed} decided below the start view: {:?}",
+            outcome.decided_views()
+        );
+        detections += outcome.equivocation_detections;
+    }
+    // The attack really ran: honest replicas accepted one justified
+    // proposal and then saw the other.
+    assert!(detections > 0, "no replica ever saw the split proposals");
+}

@@ -204,6 +204,40 @@ fn long_pipelined_run_keeps_resident_slots_bounded() {
     );
 }
 
+/// The view-1 leader is silent from the start. The slots the pipeline
+/// opens before anything decides each pay one view change; once a slot
+/// decides in view 2, every later slot opens directly in that view. So
+/// the whole run's Wish count does not depend on how many entries it
+/// orders: 32 and 128 entries cost exactly the same synchronizer traffic.
+#[test]
+fn silent_leader_costs_one_view_change_not_one_per_slot() {
+    let wishes = |entries: usize| {
+        let outcome = SmrBuilder::new(7, entries)
+            .seed(5)
+            .pipeline_depth(4)
+            .batch_size(1)
+            .silent(ReplicaId(0))
+            // Replica 1 leads view 2, so its queue is what gets ordered.
+            .workload(ReplicaId(1), put_workload(entries))
+            .run();
+        assert!(outcome.logs_consistent(), "entries {entries}");
+        assert!(outcome.states_consistent(), "entries {entries}");
+        assert_eq!(
+            outcome.total_log_lens()[1],
+            entries as u64,
+            "the run ordered its whole target"
+        );
+        outcome.metrics.kind("Wish").sent
+    };
+    let short = wishes(32);
+    let long = wishes(128);
+    assert!(short > 0, "the silent leader forced no view change");
+    assert_eq!(
+        short, long,
+        "Wish traffic grew with the log: {short} for 32 entries, {long} for 128"
+    );
+}
+
 /// Acceptance: a live 4-replica TCP cluster serves commands submitted
 /// through `SmrClient` — including a leader redirect (the client starts
 /// at a follower) and a retried request id (applied exactly once, with
