@@ -5,8 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use probft_core::harness::InstanceBuilder;
-use probft_hotstuff::HsInstanceBuilder;
-use probft_pbft::PbftInstanceBuilder;
+use probft_hotstuff::HsReplica;
+use probft_pbft::PbftReplica;
 
 fn bench_protocol_comparison(c: &mut Criterion) {
     let n = 40;
@@ -26,7 +26,9 @@ fn bench_protocol_comparison(c: &mut Criterion) {
         let mut seed = 0;
         b.iter(|| {
             seed += 1;
-            let o = PbftInstanceBuilder::new(n).seed(seed).run();
+            let o = InstanceBuilder::<PbftReplica>::for_protocol(n)
+                .seed(seed)
+                .run();
             assert!(o.all_correct_decided());
             o.finished_at
         })
@@ -35,7 +37,9 @@ fn bench_protocol_comparison(c: &mut Criterion) {
         let mut seed = 0;
         b.iter(|| {
             seed += 1;
-            let o = HsInstanceBuilder::new(n).seed(seed).run();
+            let o = InstanceBuilder::<HsReplica>::for_protocol(n)
+                .seed(seed)
+                .run();
             assert!(o.all_correct_decided());
             o.finished_at
         })

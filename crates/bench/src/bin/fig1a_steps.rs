@@ -8,8 +8,8 @@
 
 use probft_bench::print_row;
 use probft_core::harness::InstanceBuilder;
-use probft_hotstuff::HsInstanceBuilder;
-use probft_pbft::PbftInstanceBuilder;
+use probft_hotstuff::HsReplica;
+use probft_pbft::PbftReplica;
 
 fn main() {
     let n = 40;
@@ -35,11 +35,13 @@ fn main() {
     assert!(probft.all_correct_decided(), "ProBFT run must decide");
     let probft_kinds = decision_kinds(&probft.metrics);
 
-    let pbft = PbftInstanceBuilder::new(n).seed(1).run();
+    let pbft = InstanceBuilder::<PbftReplica>::for_protocol(n)
+        .seed(1)
+        .run();
     assert!(pbft.all_correct_decided(), "PBFT run must decide");
     let pbft_kinds = decision_kinds(&pbft.metrics);
 
-    let hs = HsInstanceBuilder::new(n).seed(1).run();
+    let hs = InstanceBuilder::<HsReplica>::for_protocol(n).seed(1).run();
     assert!(hs.all_correct_decided(), "HotStuff run must decide");
     let hs_kinds = decision_kinds(&hs.metrics);
 

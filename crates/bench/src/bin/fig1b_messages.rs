@@ -8,8 +8,8 @@
 
 use probft_bench::{fmt_count, print_row};
 use probft_core::harness::InstanceBuilder;
-use probft_hotstuff::HsInstanceBuilder;
-use probft_pbft::PbftInstanceBuilder;
+use probft_hotstuff::HsReplica;
+use probft_pbft::PbftReplica;
 
 fn main() {
     let measure_large = std::env::args().any(|a| a == "--measure-large");
@@ -54,8 +54,10 @@ fn main() {
         vec![100, 150, 200]
     };
     for n in sizes {
-        let pbft = PbftInstanceBuilder::new(n).seed(1).run();
-        let hs = HsInstanceBuilder::new(n).seed(1).run();
+        let pbft = InstanceBuilder::<PbftReplica>::for_protocol(n)
+            .seed(1)
+            .run();
+        let hs = InstanceBuilder::<HsReplica>::for_protocol(n).seed(1).run();
         let probft = InstanceBuilder::new(n).seed(1).overprovision(1.7).run();
         assert!(
             pbft.all_correct_decided() && hs.all_correct_decided() && probft.all_correct_decided(),

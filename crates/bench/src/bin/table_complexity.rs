@@ -15,7 +15,7 @@ use probft_bench::{fmt_count, print_row};
 use probft_core::config::View;
 use probft_core::harness::{InstanceBuilder, InstanceOutcome};
 use probft_core::ByzantineStrategy;
-use probft_pbft::{PbftInstanceBuilder, PbftStrategy};
+use probft_pbft::{PbftReplica, PbftStrategy};
 use probft_quorum::ReplicaId;
 
 fn main() {
@@ -58,7 +58,9 @@ fn main() {
         );
 
         // PBFT good case for reference.
-        let pbft = PbftInstanceBuilder::new(n).seed(3).run();
+        let pbft = InstanceBuilder::<PbftReplica>::for_protocol(n)
+            .seed(3)
+            .run();
         assert!(pbft.all_correct_decided());
         emit(
             "PBFT good",
@@ -67,7 +69,7 @@ fn main() {
             pbft.metrics.total_bytes(),
         );
 
-        let pbft_vc = PbftInstanceBuilder::new(n)
+        let pbft_vc = InstanceBuilder::<PbftReplica>::for_protocol(n)
             .seed(3)
             .byzantine(ReplicaId(0), PbftStrategy::Silent)
             .run();

@@ -187,7 +187,7 @@ impl fmt::Debug for ProbftConfig {
 }
 
 /// Builder for [`ProbftConfig`].
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct ProbftConfigBuilder {
     n: usize,
     f: usize,

@@ -13,9 +13,10 @@
 //! # Examples
 //!
 //! ```
-//! use probft_hotstuff::HsInstanceBuilder;
+//! use probft_core::harness::InstanceBuilder;
+//! use probft_hotstuff::HsReplica;
 //!
-//! let outcome = HsInstanceBuilder::new(7).seed(1).run();
+//! let outcome = InstanceBuilder::<HsReplica>::for_protocol(7).seed(1).run();
 //! assert!(outcome.all_correct_decided());
 //! assert!(outcome.agreement());
 //! ```
@@ -23,10 +24,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod harness;
+pub mod byzantine;
 pub mod message;
 pub mod replica;
 
-pub use harness::{HsInstanceBuilder, HsNode, HsOutcome, HsStrategy};
+pub use byzantine::HsStrategy;
 pub use message::{HsMessage, HsPhase, HsVote, LeaderBroadcast, Qc};
 pub use replica::HsReplica;

@@ -5,8 +5,10 @@
 //! and decide on the commit QC. Safety comes from the locking rule; view
 //! changes carry the highest prepare QC to the next leader.
 
+use crate::byzantine::HsStrategy;
 use crate::message::{HsMessage, HsPhase, HsVote, LeaderBroadcast, Qc};
-use probft_core::config::{SharedConfig, View};
+use probft_core::config::{ProbftConfig, ProbftConfigBuilder, SharedConfig, View};
+use probft_core::harness::{Protocol, Seat};
 use probft_core::message::{VerifyCtx, Wish};
 use probft_core::replica::{Decision, ReplicaStats};
 use probft_core::synchronizer::Synchronizer;
@@ -82,26 +84,6 @@ impl HsReplica {
             conflicting_decision: false,
             stats: ReplicaStats::default(),
         }
-    }
-
-    /// The decision, if reached.
-    pub fn decision(&self) -> Option<&Decision> {
-        self.decision.as_ref()
-    }
-
-    /// Run counters.
-    pub fn stats(&self) -> &ReplicaStats {
-        &self.stats
-    }
-
-    /// Whether the decide rule fired with two different values.
-    pub fn has_conflicting_decision(&self) -> bool {
-        self.conflicting_decision
-    }
-
-    /// The replica's current view.
-    pub fn current_view(&self) -> View {
-        self.cur_view
     }
 
     fn verify_ctx(&self) -> VerifyCtx<'_> {
@@ -408,6 +390,44 @@ impl Process for HsReplica {
             TimerToken(self.cur_view.0),
         );
         self.apply_sync_action(action, ctx);
+    }
+}
+
+impl Protocol for HsReplica {
+    type Byzantine = HsStrategy;
+    type Strategy = HsStrategy;
+
+    /// `l = o = 1`: sampling plays no part in deterministic quorums, and
+    /// these values build a configuration for any `n`.
+    fn config(n: usize) -> ProbftConfigBuilder {
+        ProbftConfig::builder(n)
+            .quorum_multiplier(1.0)
+            .overprovision(1.0)
+    }
+
+    fn honest(seat: Seat) -> Self {
+        let value = seat.value();
+        HsReplica::new(seat.cfg, seat.id, seat.sk, seat.keys, value)
+    }
+
+    fn byzantine(_seat: Seat, strategy: HsStrategy) -> HsStrategy {
+        strategy
+    }
+
+    fn decision(&self) -> Option<&Decision> {
+        self.decision.as_ref()
+    }
+
+    fn has_conflicting_decision(&self) -> bool {
+        self.conflicting_decision
+    }
+
+    fn current_view(&self) -> View {
+        self.cur_view
+    }
+
+    fn stats(&self) -> &ReplicaStats {
+        &self.stats
     }
 }
 

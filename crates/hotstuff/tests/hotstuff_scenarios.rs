@@ -2,13 +2,16 @@
 //! view changes under silent/crashed leaders.
 
 use probft_core::config::View;
-use probft_hotstuff::{HsInstanceBuilder, HsStrategy};
+use probft_core::harness::InstanceBuilder;
+use probft_hotstuff::{HsReplica, HsStrategy};
 use probft_quorum::ReplicaId;
 
 #[test]
 fn normal_case_decides_in_view_one() {
     for seed in 0..3 {
-        let outcome = HsInstanceBuilder::new(10).seed(seed).run();
+        let outcome = InstanceBuilder::<HsReplica>::for_protocol(10)
+            .seed(seed)
+            .run();
         assert!(outcome.all_correct_decided(), "seed {seed}: {outcome:?}");
         assert!(outcome.agreement());
         assert_eq!(outcome.decided_views(), vec![View(1)]);
@@ -17,7 +20,7 @@ fn normal_case_decides_in_view_one() {
 
 #[test]
 fn message_complexity_is_linear() {
-    let outcome = HsInstanceBuilder::new(50).seed(1).run();
+    let outcome = InstanceBuilder::<HsReplica>::for_protocol(50).seed(1).run();
     assert!(outcome.all_correct_decided());
     let total = outcome.metrics.total_sent();
     // 4 leader broadcasts (n each) + 3 vote rounds (n each) ≈ 7n = 350.
@@ -28,7 +31,7 @@ fn message_complexity_is_linear() {
 
 #[test]
 fn silent_leader_triggers_view_change() {
-    let outcome = HsInstanceBuilder::new(10)
+    let outcome = InstanceBuilder::<HsReplica>::for_protocol(10)
         .seed(2)
         .byzantine(ReplicaId(0), HsStrategy::Silent)
         .run();
@@ -39,7 +42,7 @@ fn silent_leader_triggers_view_change() {
 
 #[test]
 fn crashed_leader_tolerated() {
-    let outcome = HsInstanceBuilder::new(10)
+    let outcome = InstanceBuilder::<HsReplica>::for_protocol(10)
         .seed(3)
         .byzantine(ReplicaId(0), HsStrategy::Crash)
         .run();
@@ -49,7 +52,7 @@ fn crashed_leader_tolerated() {
 
 #[test]
 fn multiple_crashes_tolerated() {
-    let mut b = HsInstanceBuilder::new(10).seed(4);
+    let mut b = InstanceBuilder::<HsReplica>::for_protocol(10).seed(4);
     for i in [0usize, 1, 4] {
         b = b.byzantine(ReplicaId::from(i), HsStrategy::Crash);
     }
@@ -60,8 +63,8 @@ fn multiple_crashes_tolerated() {
 
 #[test]
 fn deterministic_replay() {
-    let a = HsInstanceBuilder::new(10).seed(5).run();
-    let b = HsInstanceBuilder::new(10).seed(5).run();
+    let a = InstanceBuilder::<HsReplica>::for_protocol(10).seed(5).run();
+    let b = InstanceBuilder::<HsReplica>::for_protocol(10).seed(5).run();
     assert_eq!(a.decisions, b.decisions);
     assert_eq!(a.metrics.total_sent(), b.metrics.total_sent());
 }

@@ -15,9 +15,10 @@
 //! # Examples
 //!
 //! ```
-//! use probft_pbft::PbftInstanceBuilder;
+//! use probft_core::harness::InstanceBuilder;
+//! use probft_pbft::PbftReplica;
 //!
-//! let outcome = PbftInstanceBuilder::new(7).seed(1).run();
+//! let outcome = InstanceBuilder::<PbftReplica>::for_protocol(7).seed(1).run();
 //! assert!(outcome.all_correct_decided());
 //! assert!(outcome.agreement());
 //! ```
@@ -26,11 +27,9 @@
 #![warn(missing_docs)]
 
 pub mod byzantine;
-pub mod harness;
 pub mod message;
 pub mod replica;
 
 pub use byzantine::{PbftByzantine, PbftStrategy};
-pub use harness::{PbftInstanceBuilder, PbftNode, PbftOutcome};
 pub use message::{PbftMessage, PbftNewLeader, PbftPropose, Vote, VotePhase};
 pub use replica::PbftReplica;

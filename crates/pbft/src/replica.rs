@@ -6,10 +6,12 @@
 //! votes. Because any two such quorums intersect in a correct replica,
 //! safety is deterministic — the property ProBFT deliberately relaxes.
 
+use crate::byzantine::{PbftByzantine, PbftStrategy};
 use crate::message::{
     choose_pbft_proposal, PbftMessage, PbftNewLeader, PbftPropose, SignedProposal, Vote, VotePhase,
 };
-use probft_core::config::{SharedConfig, View};
+use probft_core::config::{ProbftConfig, ProbftConfigBuilder, SharedConfig, View};
+use probft_core::harness::{Protocol, Seat};
 use probft_core::message::{VerifyCtx, Wish};
 use probft_core::replica::{Decision, ReplicaStats};
 use probft_core::synchronizer::Synchronizer;
@@ -90,27 +92,6 @@ impl PbftReplica {
             conflicting_decision: false,
             stats: ReplicaStats::default(),
         }
-    }
-
-    /// The decision, if reached.
-    pub fn decision(&self) -> Option<&Decision> {
-        self.decision.as_ref()
-    }
-
-    /// Run counters.
-    pub fn stats(&self) -> &ReplicaStats {
-        &self.stats
-    }
-
-    /// Whether the decide rule fired twice with different values (must
-    /// never happen in PBFT).
-    pub fn has_conflicting_decision(&self) -> bool {
-        self.conflicting_decision
-    }
-
-    /// The replica's current view.
-    pub fn current_view(&self) -> View {
-        self.cur_view
     }
 
     fn verify_ctx(&self) -> VerifyCtx<'_> {
@@ -355,6 +336,45 @@ impl Process for PbftReplica {
             TimerToken(self.cur_view.0),
         );
         self.apply_sync_action(action, ctx);
+    }
+}
+
+impl Protocol for PbftReplica {
+    type Byzantine = PbftByzantine;
+    type Strategy = PbftStrategy;
+
+    /// `l = o = 1`: sampling plays no part in deterministic quorums, and
+    /// these values build a configuration for any `n`.
+    fn config(n: usize) -> ProbftConfigBuilder {
+        ProbftConfig::builder(n)
+            .quorum_multiplier(1.0)
+            .overprovision(1.0)
+    }
+
+    fn honest(seat: Seat) -> Self {
+        let value = seat.value();
+        PbftReplica::new(seat.cfg, seat.id, seat.sk, seat.keys, value)
+    }
+
+    fn byzantine(seat: Seat, strategy: PbftStrategy) -> PbftByzantine {
+        PbftByzantine::new(seat.cfg, seat.id, seat.sk, strategy)
+    }
+
+    fn decision(&self) -> Option<&Decision> {
+        self.decision.as_ref()
+    }
+
+    /// Must never hold in PBFT.
+    fn has_conflicting_decision(&self) -> bool {
+        self.conflicting_decision
+    }
+
+    fn current_view(&self) -> View {
+        self.cur_view
+    }
+
+    fn stats(&self) -> &ReplicaStats {
+        &self.stats
     }
 }
 

@@ -2,13 +2,16 @@
 //! resistance, and the quadratic message count ProBFT improves on.
 
 use probft_core::config::View;
-use probft_pbft::{PbftInstanceBuilder, PbftStrategy};
+use probft_core::harness::InstanceBuilder;
+use probft_pbft::{PbftReplica, PbftStrategy};
 use probft_quorum::ReplicaId;
 
 #[test]
 fn normal_case_decides_in_view_one() {
     for seed in 0..3 {
-        let outcome = PbftInstanceBuilder::new(10).seed(seed).run();
+        let outcome = InstanceBuilder::<PbftReplica>::for_protocol(10)
+            .seed(seed)
+            .run();
         assert!(outcome.all_correct_decided(), "seed {seed}: {outcome:?}");
         assert!(outcome.agreement());
         assert_eq!(outcome.decided_views(), vec![View(1)]);
@@ -17,7 +20,9 @@ fn normal_case_decides_in_view_one() {
 
 #[test]
 fn message_complexity_is_quadratic() {
-    let outcome = PbftInstanceBuilder::new(50).seed(1).run();
+    let outcome = InstanceBuilder::<PbftReplica>::for_protocol(50)
+        .seed(1)
+        .run();
     assert!(outcome.all_correct_decided());
     // Prepare and Commit are all-to-all: n² each (n senders × n receivers).
     let prepare = outcome.metrics.kind("Prepare").sent;
@@ -28,7 +33,7 @@ fn message_complexity_is_quadratic() {
 
 #[test]
 fn silent_leader_triggers_view_change() {
-    let outcome = PbftInstanceBuilder::new(10)
+    let outcome = InstanceBuilder::<PbftReplica>::for_protocol(10)
         .seed(2)
         .byzantine(ReplicaId(0), PbftStrategy::Silent)
         .run();
@@ -39,7 +44,7 @@ fn silent_leader_triggers_view_change() {
 
 #[test]
 fn crashed_leader_tolerated() {
-    let outcome = PbftInstanceBuilder::new(10)
+    let outcome = InstanceBuilder::<PbftReplica>::for_protocol(10)
         .seed(3)
         .byzantine(ReplicaId(0), PbftStrategy::Crash)
         .run();
@@ -52,7 +57,7 @@ fn split_leader_cannot_violate_safety() {
     // With deterministic quorums the split attack can never produce two
     // decisions in the same view — across *any* seed.
     for seed in 0..10 {
-        let outcome = PbftInstanceBuilder::new(10)
+        let outcome = InstanceBuilder::<PbftReplica>::for_protocol(10)
             .seed(seed)
             .byzantine(ReplicaId(0), PbftStrategy::SplitLeader)
             .run();
@@ -63,8 +68,12 @@ fn split_leader_cannot_violate_safety() {
 
 #[test]
 fn deterministic_replay() {
-    let a = PbftInstanceBuilder::new(10).seed(7).run();
-    let b = PbftInstanceBuilder::new(10).seed(7).run();
+    let a = InstanceBuilder::<PbftReplica>::for_protocol(10)
+        .seed(7)
+        .run();
+    let b = InstanceBuilder::<PbftReplica>::for_protocol(10)
+        .seed(7)
+        .run();
     assert_eq!(a.decisions, b.decisions);
     assert_eq!(a.metrics.total_sent(), b.metrics.total_sent());
 }

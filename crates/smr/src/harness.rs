@@ -5,16 +5,16 @@ use crate::kv::KvStore;
 use crate::machine::{Entry, StateMachine};
 use crate::node::{SmrNode, SmrSettings};
 use probft_core::config::{ProbftConfig, SharedConfig};
-use probft_crypto::keyring::Keyring;
+use probft_core::harness::Network;
 use probft_crypto::sha256::Digest;
 use probft_quorum::ReplicaId;
-use probft_simnet::delay::PartialSynchrony;
 use probft_simnet::metrics::{MessageMetrics, ThroughputStats};
-use probft_simnet::process::ProcessId;
-use probft_simnet::sim::{RunOutcome, Simulation};
-use probft_simnet::time::{SimDuration, SimTime};
+use probft_simnet::sim::RunOutcome;
+use probft_simnet::time::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+
+/// Per-run event budget.
+const MAX_EVENTS: u64 = 50_000_000;
 
 /// Builds and runs an SMR cluster ordering a shared workload against any
 /// [`StateMachine`] (the default is the reference [`KvStore`]).
@@ -25,7 +25,6 @@ pub struct SmrBuilder<S: StateMachine = KvStore> {
     workloads: BTreeMap<ReplicaId, Vec<S::Op>>,
     silent: BTreeSet<ReplicaId>,
     settings: SmrSettings,
-    max_events: u64,
 }
 
 impl SmrBuilder<KvStore> {
@@ -55,7 +54,6 @@ impl<S: StateMachine> SmrBuilder<S> {
                 adaptive_batching: false,
                 max_pending: 0,
             },
-            max_events: 50_000_000,
         }
     }
 
@@ -122,68 +120,28 @@ impl<S: StateMachine> SmrBuilder<S> {
     /// ever proposed — an over-sized target burns the whole event budget
     /// without completing.
     pub fn run(self) -> SmrOutcome<S> {
-        let cfg: SharedConfig = Arc::new(
-            ProbftConfig::builder(self.n)
-                .base_timeout(SimDuration::from_ticks(50_000))
-                .build(),
+        let cfg: SharedConfig = ProbftConfig::builder(self.n).build_shared();
+        let network = Network {
+            seed: self.seed,
+            ..Network::default()
+        };
+        let (sim, run_outcome) = network.simulate(
+            self.n,
+            &self.silent,
+            MAX_EVENTS,
+            |id, sk, keys| {
+                let workload = self.workloads.get(&id).cloned().unwrap_or_default();
+                SmrNode::new(cfg.clone(), id, sk, keys.clone(), workload, self.settings)
+            },
+            SmrNode::<S>::done,
         );
-        let keyring = Keyring::generate(self.n, &self.seed.to_be_bytes());
-        let public = Arc::new(keyring.public());
+        let live = (0..self.n).find(|&i| !self.silent.contains(&ReplicaId::from(i)));
 
-        let network =
-            PartialSynchrony::synchronous(SimDuration::from_ticks(1), SimDuration::from_ticks(100));
-        let mut sim: Simulation<SmrNode<S>> = Simulation::new(network, self.seed);
-        for i in 0..self.n {
-            let id = ReplicaId::from(i);
-            let workload = self.workloads.get(&id).cloned().unwrap_or_default();
-            sim.add_process(SmrNode::new(
-                cfg.clone(),
-                id,
-                keyring.signing_key(i).expect("in range").clone(),
-                public.clone(),
-                workload,
-                self.settings,
-            ));
-        }
-
-        for id in &self.silent {
-            sim.crash(ProcessId(id.index()));
-        }
-        let live: Vec<ProcessId> = (0..self.n)
-            .filter(|&i| !self.silent.contains(&ReplicaId::from(i)))
-            .map(ProcessId)
-            .collect();
-        let watched = live.clone();
-        let all_done =
-            move |s: &Simulation<SmrNode<S>>| watched.iter().all(|&p| s.process(p).done());
-        let run_outcome = sim.run_until_condition(all_done, self.max_events);
-
-        let logs: Vec<Vec<Entry<S::Op>>> = (0..self.n)
-            .map(|i| sim.process(ProcessId(i)).log().to_vec())
-            .collect();
-        let states: Vec<S> = (0..self.n)
-            .map(|i| sim.process(ProcessId(i)).state().clone())
-            .collect();
-        let resident_slots: Vec<usize> = (0..self.n)
-            .map(|i| sim.process(ProcessId(i)).resident_slots())
-            .collect();
-        let dropped_messages: Vec<u64> = (0..self.n)
-            .map(|i| sim.process(ProcessId(i)).dropped_messages())
-            .collect();
-        let log_offsets: Vec<u64> = (0..self.n)
-            .map(|i| sim.process(ProcessId(i)).log_offset())
-            .collect();
-        let log_digests: Vec<Digest> = (0..self.n)
-            .map(|i| sim.process(ProcessId(i)).log_digest())
-            .collect();
-        let checkpoints: Vec<CheckpointStats> = (0..self.n)
-            .map(|i| sim.process(ProcessId(i)).checkpoint_stats())
-            .collect();
-
+        let nodes: Vec<&SmrNode<S>> = sim.processes().map(|(_, node)| node).collect();
         // Throughput is measured at the first live replica: all correct
         // replicas apply the same slots, so its view is representative of
         // the run.
-        let node0 = sim.process(live.first().copied().unwrap_or(ProcessId(0)));
+        let node0 = nodes[live.unwrap_or(0)];
         let throughput = ThroughputStats {
             commands: node0.total_log_len(),
             slots_opened: node0.slots_opened(),
@@ -192,13 +150,13 @@ impl<S: StateMachine> SmrBuilder<S> {
         };
 
         SmrOutcome {
-            logs,
-            states,
-            resident_slots,
-            dropped_messages,
-            log_offsets,
-            log_digests,
-            checkpoints,
+            logs: nodes.iter().map(|node| node.log().to_vec()).collect(),
+            states: nodes.iter().map(|node| node.state().clone()).collect(),
+            resident_slots: nodes.iter().map(|node| node.resident_slots()).collect(),
+            dropped_messages: nodes.iter().map(|node| node.dropped_messages()).collect(),
+            log_offsets: nodes.iter().map(|node| node.log_offset()).collect(),
+            log_digests: nodes.iter().map(|node| node.log_digest()).collect(),
+            checkpoints: nodes.iter().map(|node| node.checkpoint_stats()).collect(),
             silent: self.silent,
             metrics: sim.metrics().clone(),
             throughput,
@@ -245,7 +203,8 @@ pub struct SmrOutcome<S: StateMachine = KvStore> {
     pub silent: BTreeSet<ReplicaId>,
     /// Message metrics.
     pub metrics: MessageMetrics,
-    /// Commands/slots/ticks throughput accounting (measured at replica 0).
+    /// Commands/slots/ticks throughput accounting, measured at the first
+    /// non-silent replica.
     pub throughput: ThroughputStats,
     /// Virtual completion time.
     pub finished_at: SimTime,

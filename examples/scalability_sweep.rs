@@ -9,8 +9,8 @@
 //! proofs.)
 
 use probft::core::harness::InstanceBuilder;
-use probft::hotstuff::HsInstanceBuilder;
-use probft::pbft::PbftInstanceBuilder;
+use probft::hotstuff::HsReplica;
+use probft::pbft::PbftReplica;
 
 fn main() {
     println!("Good-case cost sweep (simulator-measured, network messages)\n");
@@ -21,8 +21,10 @@ fn main() {
 
     for n in [25usize, 50, 100, 150] {
         let probft = InstanceBuilder::new(n).seed(9).run();
-        let pbft = PbftInstanceBuilder::new(n).seed(9).run();
-        let hs = HsInstanceBuilder::new(n).seed(9).run();
+        let pbft = InstanceBuilder::<PbftReplica>::for_protocol(n)
+            .seed(9)
+            .run();
+        let hs = InstanceBuilder::<HsReplica>::for_protocol(n).seed(9).run();
         assert!(probft.all_correct_decided() && probft.agreement());
         assert!(pbft.all_correct_decided() && pbft.agreement());
         assert!(hs.all_correct_decided() && hs.agreement());

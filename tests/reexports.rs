@@ -31,11 +31,15 @@ fn every_reexported_crate_is_reachable() {
     assert!(outcome.all_correct_decided() && outcome.agreement());
 
     // probft::pbft — the PBFT baseline harness.
-    let outcome = probft::pbft::PbftInstanceBuilder::new(7).seed(1).run();
+    let outcome = probft::core::InstanceBuilder::<probft::pbft::PbftReplica>::for_protocol(7)
+        .seed(1)
+        .run();
     assert!(outcome.all_correct_decided() && outcome.agreement());
 
     // probft::hotstuff — the HotStuff baseline harness.
-    let outcome = probft::hotstuff::HsInstanceBuilder::new(7).seed(1).run();
+    let outcome = probft::core::InstanceBuilder::<probft::hotstuff::HsReplica>::for_protocol(7)
+        .seed(1)
+        .run();
     assert!(outcome.all_correct_decided() && outcome.agreement());
 
     // probft::smr — replicated state machine over ProBFT.
